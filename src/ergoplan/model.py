@@ -8,6 +8,7 @@ hand so training needs no autodiff framework and gradients can be checked
 against finite differences.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -38,11 +39,6 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-
-# reference configuration at full scale; far beyond what desk CPUs train
-FULL_SCALE_CONFIG = ModelConfig(layers=25, heads=16, embed_dim=256, context_len=320)
-TOY_CONFIG = ModelConfig(layers=4, heads=4, embed_dim=64, context_len=320)
 
 
 @dataclass
@@ -119,16 +115,40 @@ def parameter_checksum(params):
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
+# The kernels below work in buffers they own but keep every floating-point
+# operation and its operand grouping: results are bit-identical to the
+# allocate-per-operation form kept in tests/oracles.py. Only commutation
+# (a*b == b*a, a+b == b+a) and exact scaling by 0.5 are used to reorder.
+
 
 def _gelu(x):
     """tanh-form GELU; returns (value, tanh cache for the backward pass)."""
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    t = np.multiply(x, x)
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.add(t, 1.0)
+    out *= x
+    out *= 0.5
+    return out, t
 
 
 def _gelu_grad(x, t):
-    du = _GELU_C * (1.0 + (3.0 * _GELU_A) * (x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    du = np.multiply(x, x)
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    rest = np.multiply(t, t)
+    np.subtract(1.0, rest, out=rest)
+    rest *= x
+    rest *= 0.5
+    rest *= du
+    grad = np.add(t, 1.0, out=du)
+    grad *= 0.5
+    grad += rest
+    return grad
 
 
 _LN_EPS = 1e-5
@@ -136,30 +156,49 @@ _LN_EPS = 1e-5
 
 def _layernorm(x, g, b):
     mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(-1, keepdims=True)
+    xhat = x - mu
+    out = np.square(xhat)
+    var = out.mean(-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv)
+    xhat *= inv
+    np.multiply(xhat, g, out=out)
+    out += b
+    return out, (xhat, inv)
 
 
 def _layernorm_backward(dy, g, cache):
+    """Overwrites dy with the input gradient; returns (dx, dg, db)."""
     xhat, inv = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(-1, keepdims=True)
-    )
-    return dx, dg, db
+    axes = tuple(range(dy.ndim - 1))
+    scratch = np.multiply(dy, xhat)
+    dg = scratch.sum(axis=axes)
+    db = dy.sum(axis=axes)
+    dxhat = dy
+    dxhat *= g
+    np.multiply(dxhat, xhat, out=scratch)
+    proj = scratch.mean(-1, keepdims=True)
+    dxhat -= dxhat.mean(-1, keepdims=True)
+    np.multiply(xhat, proj, out=scratch)
+    dxhat -= scratch
+    dxhat *= inv
+    return dxhat, dg, db
 
 
 def _softmax(z):
-    z = z - z.max(-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(-1, keepdims=True)
+    """Softmax over the last axis, computed in place in z; returns z."""
+    z -= z.max(-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(-1, keepdims=True)
+    return z
+
+
+@functools.cache
+def _causal_mask(t, dtype):
+    """Read-only additive (t, t) mask; one per length and dtype, so at most
+    context_len entries per dtype."""
+    mask = np.triu(np.full((t, t), -1e9, dtype=dtype), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
@@ -180,13 +219,11 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
             f"vertex index {int(vert.max())} exceeds table size {cfg.max_vertex_index}"
         )
 
-    x = (
-        params["tok_emb"][tokens]
-        + params["pos_emb"][:t][None]
-        + params["xy_emb"][xy]
-        + params["vert_emb"][vert]
-    )
-    mask = np.triu(np.full((t, t), -1e9, dtype=x.dtype), k=1)
+    x = params["tok_emb"][tokens]
+    x += params["pos_emb"][:t]
+    x += params["xy_emb"][xy]
+    x += params["vert_emb"][vert]
+    mask = _causal_mask(t, x.dtype)
     h = cfg.heads
     hd = cfg.embed_dim // h
     scale = float(1.0 / np.sqrt(hd))
@@ -194,22 +231,28 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
 
     for i in range(cfg.layers):
         a, ln1_cache = _layernorm(x, params[f"h{i}.ln1.g"], params[f"h{i}.ln1.b"])
-        qkv = a @ params[f"h{i}.attn.wqkv"] + params[f"h{i}.attn.bqkv"]
+        qkv = a @ params[f"h{i}.attn.wqkv"]
+        qkv += params[f"h{i}.attn.bqkv"]
         q, k, v = np.split(qkv, 3, axis=-1)
         q = q.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
         k = k.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
         v = v.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale + mask
-        probs = _softmax(scores)
+        probs = q @ k.transpose(0, 1, 3, 2)
+        probs *= scale
+        probs += mask
+        _softmax(probs)
         ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, t, cfg.embed_dim)
-        attn_out = ctx @ params[f"h{i}.attn.wproj"] + params[f"h{i}.attn.bproj"]
-        x1 = x + attn_out
+        x1 = ctx @ params[f"h{i}.attn.wproj"]
+        x1 += params[f"h{i}.attn.bproj"]
+        x1 += x
 
         m, ln2_cache = _layernorm(x1, params[f"h{i}.ln2.g"], params[f"h{i}.ln2.b"])
-        fc = m @ params[f"h{i}.mlp.wfc"] + params[f"h{i}.mlp.bfc"]
+        fc = m @ params[f"h{i}.mlp.wfc"]
+        fc += params[f"h{i}.mlp.bfc"]
         act, tanh_cache = _gelu(fc)
-        mlp_out = act @ params[f"h{i}.mlp.wproj"] + params[f"h{i}.mlp.bproj"]
-        x = x1 + mlp_out
+        x = act @ params[f"h{i}.mlp.wproj"]
+        x += params[f"h{i}.mlp.bproj"]
+        x += x1
         if need_cache:
             cache["layers"].append(
                 {
@@ -239,7 +282,8 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
 
 def backward_logits(params, cfg, cache, dlogits):
     """Gradients of a scalar loss given d loss / d logits; mirrors
-    forward_logits step by step."""
+    forward_logits step by step. Reads cache and dlogits without changing
+    them."""
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     b, t, _ = dlogits.shape
     h = cfg.heads
@@ -257,46 +301,45 @@ def backward_logits(params, cfg, cache, dlogits):
     for i in reversed(range(cfg.layers)):
         lc = cache["layers"][i]
         # MLP branch
-        dmlp_out = dx
-        grads[f"h{i}.mlp.bproj"] += dmlp_out.sum((0, 1))
-        grads[f"h{i}.mlp.wproj"] += lc["act"].reshape(-1, 4 * d).T @ dmlp_out.reshape(-1, d)
-        dact = dmlp_out @ params[f"h{i}.mlp.wproj"].T
-        dfc = dact * _gelu_grad(lc["fc"], lc["tanh"])
+        grads[f"h{i}.mlp.bproj"] += dx.sum((0, 1))
+        grads[f"h{i}.mlp.wproj"] += lc["act"].reshape(-1, 4 * d).T @ dx.reshape(-1, d)
+        dfc = dx @ params[f"h{i}.mlp.wproj"].T
+        dfc *= _gelu_grad(lc["fc"], lc["tanh"])
         grads[f"h{i}.mlp.bfc"] += dfc.sum((0, 1))
         grads[f"h{i}.mlp.wfc"] += lc["m"].reshape(-1, d).T @ dfc.reshape(-1, 4 * d)
         dm = dfc @ params[f"h{i}.mlp.wfc"].T
         dx1, dg, db = _layernorm_backward(dm, params[f"h{i}.ln2.g"], lc["ln2"])
         grads[f"h{i}.ln2.g"] += dg
         grads[f"h{i}.ln2.b"] += db
-        dx1 = dx1 + dx  # residual
+        dx1 += dx  # residual
 
         # attention branch
-        dattn_out = dx1
-        grads[f"h{i}.attn.bproj"] += dattn_out.sum((0, 1))
-        grads[f"h{i}.attn.wproj"] += lc["ctx"].reshape(-1, d).T @ dattn_out.reshape(-1, d)
-        dctx = (dattn_out @ params[f"h{i}.attn.wproj"].T).reshape(b, t, h, hd).transpose(
+        grads[f"h{i}.attn.bproj"] += dx1.sum((0, 1))
+        grads[f"h{i}.attn.wproj"] += lc["ctx"].reshape(-1, d).T @ dx1.reshape(-1, d)
+        dctx = (dx1 @ params[f"h{i}.attn.wproj"].T).reshape(b, t, h, hd).transpose(
             0, 2, 1, 3
         )
         probs, v = lc["probs"], lc["v"]
-        dprobs = dctx @ v.transpose(0, 1, 3, 2)
+        dscores = dctx @ v.transpose(0, 1, 3, 2)
         dv = probs.transpose(0, 1, 3, 2) @ dctx
-        dscores = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
-        dq = dscores @ lc["k"] * scale
-        dk = dscores.transpose(0, 1, 3, 2) @ lc["q"] * scale
-        dqkv = np.concatenate(
-            [
-                g.transpose(0, 2, 1, 3).reshape(b, t, d)
-                for g in (dq, dk, dv)
-            ],
-            axis=-1,
-        )
+        dscores -= (dscores * probs).sum(-1, keepdims=True)
+        dscores *= probs
+        dq = dscores @ lc["k"]
+        dq *= scale
+        dk = dscores.transpose(0, 1, 3, 2) @ lc["q"]
+        dk *= scale
+        dqkv = np.empty((b, t, 3 * d), dtype=dx.dtype)
+        heads = dqkv.reshape(b, t, 3, h, hd)
+        for j, g in enumerate((dq, dk, dv)):
+            heads[:, :, j] = g.transpose(0, 2, 1, 3)
         grads[f"h{i}.attn.bqkv"] += dqkv.sum((0, 1))
         grads[f"h{i}.attn.wqkv"] += lc["a"].reshape(-1, d).T @ dqkv.reshape(-1, 3 * d)
         da = dqkv @ params[f"h{i}.attn.wqkv"].T
         dxa, dg, db = _layernorm_backward(da, params[f"h{i}.ln1.g"], lc["ln1"])
         grads[f"h{i}.ln1.g"] += dg
         grads[f"h{i}.ln1.b"] += db
-        dx = dx1 + dxa  # residual
+        dx1 += dxa  # residual
+        dx = dx1
 
     tokens, xy, vert = cache["tokens"], cache["xy"], cache["vert"]
     flat = dx.reshape(-1, d)
@@ -384,7 +427,6 @@ class TrainState:
     adam_v: dict
     step: int
     rng: np.random.Generator
-    stats: dict = field(default_factory=dict)
     alpha_cache: dict = field(default_factory=dict)
 
 
@@ -414,14 +456,15 @@ def _pad_batch(batch, vocab, max_vertex_index):
 
 
 def _sample_alpha(plan, soft_params, guidance_cfg, cache, floor=0.0):
-    key = id(plan)
-    if key not in cache:
+    # keyed on the plan's value (FloorPlan is frozen and hashable): the cache
+    # outlives the sample list, and an id() could be recycled by another plan
+    if plan not in cache:
         breakdown = ergoloss.ergonomic_loss(plan, soft_params)
         if breakdown.total is None:
-            cache[key] = 0.0  # no applicable term: fall back to cross-entropy
+            cache[plan] = 0.0  # no applicable term: fall back to cross-entropy
         else:
-            cache[key] = guidance.alpha(breakdown.total, guidance_cfg)
-    value = cache[key]
+            cache[plan] = guidance.alpha(breakdown.total, guidance_cfg)
+    value = cache[plan]
     return value if value >= floor else 0.0
 
 
@@ -546,19 +589,28 @@ def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_param
     bias1 = 1.0 - b1**state.step
     bias2 = 1.0 - b2**state.step
     for name, p in state.params.items():
+        # g is spent once m and v hold it, so it becomes the update; scratch
+        # holds each other operand in turn
         g = grads[name]
         m = state.adam_m[name]
         v = state.adam_v[name]
+        scratch = np.multiply(g, 1 - b1)
         m *= b1
-        m += (1 - b1) * g
+        m += scratch
+        np.multiply(g, 1 - b2, out=scratch)
+        scratch *= g
         v *= b2
-        v += (1 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + train_cfg.eps)
+        v += scratch
+        np.divide(v, bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += train_cfg.eps
+        update = np.divide(m, bias1, out=g)
+        update /= scratch
         if train_cfg.weight_decay and p.ndim >= 2:
-            update = update + train_cfg.weight_decay * p
-        p -= (lr * update).astype(p.dtype)
+            update += np.multiply(p, train_cfg.weight_decay, out=scratch)
+        update *= lr
+        p -= update
 
-    state.stats.setdefault("loss", []).append(loss.total)
     return state, loss
 
 

@@ -1,14 +1,22 @@
-"""Independent oracles the tests check the package against.
+"""Oracles the tests check the package against.
 
-Everything here deliberately takes a different route than the package:
+Most of them deliberately take a different route than the package:
 distances via axis-aligned bounding-gap formulas instead of general
 segment projection, areas via unit-cell rasterization instead of sweeps,
 assignments via exhaustive enumeration, gradients via central differences.
+
+The transformer kernels at the end are the exception. They are the
+package's earlier allocate-per-operation forward, backward and AdamW code,
+kept unchanged. The package now does the same floating-point operations in
+the same order in buffers it owns, so its results must equal these
+bit for bit, not merely to a tolerance.
 """
 
 import numpy as np
 
+from ergoplan import model
 from ergoplan.ergoloss import SoftParams, VertexPlan, ergonomic_loss
+from ergoplan.errors import ContextOverflow, NonFiniteLoss, OutOfRange
 from ergoplan.plan import RoomType
 
 KITCHEN_CLIENTS = (RoomType.Entrance, RoomType.DiningRoom)
@@ -159,3 +167,250 @@ def loss_finite_difference(vplan, params=None, h=1e-4):
                 g[vi, axis] = (loss_of(plus) - loss_of(minus)) / (2 * h)
         grads.append(g)
     return grads
+
+
+# --- earlier transformer kernels: the bit-identity reference -------------
+
+# python-float constants keep float32 pipelines in float32
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+_GELU_A = 0.044715
+
+
+def _gelu(x):
+    """tanh-form GELU; returns (value, tanh cache for the backward pass)."""
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_grad(x, t):
+    du = _GELU_C * (1.0 + (3.0 * _GELU_A) * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+_LN_EPS = 1e-5
+
+
+def _layernorm(x, g, b):
+    mu = x.mean(-1, keepdims=True)
+    xc = x - mu
+    var = (xc**2).mean(-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = xc * inv
+    return xhat * g + b, (xhat, inv)
+
+
+def _layernorm_backward(dy, g, cache):
+    xhat, inv = cache
+    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * g
+    dx = inv * (
+        dxhat
+        - dxhat.mean(-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(-1, keepdims=True)
+    )
+    return dx, dg, db
+
+
+def _softmax(z):
+    z = z - z.max(-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(-1, keepdims=True)
+
+
+def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
+    """Next-token logits for an integer batch (B, T); rows at position t are
+    the prediction for token t+1."""
+    tokens = np.asarray(tokens)
+    xy = np.asarray(xy)
+    vert = np.asarray(vert)
+    if tokens.ndim == 1:
+        tokens, xy, vert = tokens[None], xy[None], vert[None]
+    b, t = tokens.shape
+    if t > cfg.context_len:
+        raise ContextOverflow(f"sequence length {t} exceeds context {cfg.context_len}")
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+        raise OutOfRange("token id outside vocabulary")
+    if vert.max() > cfg.max_vertex_index:
+        raise OutOfRange(
+            f"vertex index {int(vert.max())} exceeds table size {cfg.max_vertex_index}"
+        )
+
+    x = (
+        params["tok_emb"][tokens]
+        + params["pos_emb"][:t][None]
+        + params["xy_emb"][xy]
+        + params["vert_emb"][vert]
+    )
+    mask = np.triu(np.full((t, t), -1e9, dtype=x.dtype), k=1)
+    h = cfg.heads
+    hd = cfg.embed_dim // h
+    scale = float(1.0 / np.sqrt(hd))
+    cache = {"tokens": tokens, "xy": xy, "vert": vert, "layers": []}
+
+    for i in range(cfg.layers):
+        a, ln1_cache = _layernorm(x, params[f"h{i}.ln1.g"], params[f"h{i}.ln1.b"])
+        qkv = a @ params[f"h{i}.attn.wqkv"] + params[f"h{i}.attn.bqkv"]
+        q, k, v = np.split(qkv, 3, axis=-1)
+        q = q.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+        k = k.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+        v = v.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+        scores = q @ k.transpose(0, 1, 3, 2) * scale + mask
+        probs = _softmax(scores)
+        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, t, cfg.embed_dim)
+        attn_out = ctx @ params[f"h{i}.attn.wproj"] + params[f"h{i}.attn.bproj"]
+        x1 = x + attn_out
+
+        m, ln2_cache = _layernorm(x1, params[f"h{i}.ln2.g"], params[f"h{i}.ln2.b"])
+        fc = m @ params[f"h{i}.mlp.wfc"] + params[f"h{i}.mlp.bfc"]
+        act, tanh_cache = _gelu(fc)
+        mlp_out = act @ params[f"h{i}.mlp.wproj"] + params[f"h{i}.mlp.bproj"]
+        x = x1 + mlp_out
+        if need_cache:
+            cache["layers"].append(
+                {
+                    "a": a,
+                    "ln1": ln1_cache,
+                    "q": q,
+                    "k": k,
+                    "v": v,
+                    "probs": probs,
+                    "ctx": ctx,
+                    "m": m,
+                    "ln2": ln2_cache,
+                    "fc": fc,
+                    "tanh": tanh_cache,
+                    "act": act,
+                }
+            )
+
+    hfinal, lnf_cache = _layernorm(x, params["lnf.g"], params["lnf.b"])
+    logits = hfinal @ params["tok_emb"].T
+    if need_cache:
+        cache["hfinal"] = hfinal
+        cache["lnf"] = lnf_cache
+        return logits, cache
+    return logits
+
+
+def backward_logits(params, cfg, cache, dlogits):
+    """Gradients of a scalar loss given d loss / d logits; mirrors
+    forward_logits step by step."""
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    b, t, _ = dlogits.shape
+    h = cfg.heads
+    hd = cfg.embed_dim // h
+    scale = float(1.0 / np.sqrt(hd))
+    d = cfg.embed_dim
+
+    hfinal = cache["hfinal"]
+    grads["tok_emb"] += dlogits.reshape(-1, cfg.vocab_size).T @ hfinal.reshape(-1, d)
+    dh = dlogits @ params["tok_emb"]
+    dx, dg, db = _layernorm_backward(dh, params["lnf.g"], cache["lnf"])
+    grads["lnf.g"] += dg
+    grads["lnf.b"] += db
+
+    for i in reversed(range(cfg.layers)):
+        lc = cache["layers"][i]
+        # MLP branch
+        dmlp_out = dx
+        grads[f"h{i}.mlp.bproj"] += dmlp_out.sum((0, 1))
+        grads[f"h{i}.mlp.wproj"] += lc["act"].reshape(-1, 4 * d).T @ dmlp_out.reshape(-1, d)
+        dact = dmlp_out @ params[f"h{i}.mlp.wproj"].T
+        dfc = dact * _gelu_grad(lc["fc"], lc["tanh"])
+        grads[f"h{i}.mlp.bfc"] += dfc.sum((0, 1))
+        grads[f"h{i}.mlp.wfc"] += lc["m"].reshape(-1, d).T @ dfc.reshape(-1, 4 * d)
+        dm = dfc @ params[f"h{i}.mlp.wfc"].T
+        dx1, dg, db = _layernorm_backward(dm, params[f"h{i}.ln2.g"], lc["ln2"])
+        grads[f"h{i}.ln2.g"] += dg
+        grads[f"h{i}.ln2.b"] += db
+        dx1 = dx1 + dx  # residual
+
+        # attention branch
+        dattn_out = dx1
+        grads[f"h{i}.attn.bproj"] += dattn_out.sum((0, 1))
+        grads[f"h{i}.attn.wproj"] += lc["ctx"].reshape(-1, d).T @ dattn_out.reshape(-1, d)
+        dctx = (dattn_out @ params[f"h{i}.attn.wproj"].T).reshape(b, t, h, hd).transpose(
+            0, 2, 1, 3
+        )
+        probs, v = lc["probs"], lc["v"]
+        dprobs = dctx @ v.transpose(0, 1, 3, 2)
+        dv = probs.transpose(0, 1, 3, 2) @ dctx
+        dscores = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
+        dq = dscores @ lc["k"] * scale
+        dk = dscores.transpose(0, 1, 3, 2) @ lc["q"] * scale
+        dqkv = np.concatenate(
+            [
+                g.transpose(0, 2, 1, 3).reshape(b, t, d)
+                for g in (dq, dk, dv)
+            ],
+            axis=-1,
+        )
+        grads[f"h{i}.attn.bqkv"] += dqkv.sum((0, 1))
+        grads[f"h{i}.attn.wqkv"] += lc["a"].reshape(-1, d).T @ dqkv.reshape(-1, 3 * d)
+        da = dqkv @ params[f"h{i}.attn.wqkv"].T
+        dxa, dg, db = _layernorm_backward(da, params[f"h{i}.ln1.g"], lc["ln1"])
+        grads[f"h{i}.ln1.g"] += dg
+        grads[f"h{i}.ln1.b"] += db
+        dx = dx1 + dxa  # residual
+
+    tokens, xy, vert = cache["tokens"], cache["xy"], cache["vert"]
+    flat = dx.reshape(-1, d)
+    np.add.at(grads["tok_emb"], tokens.ravel(), flat)
+    pos = np.broadcast_to(np.arange(t), tokens.shape).ravel()
+    np.add.at(grads["pos_emb"], pos, flat)
+    np.add.at(grads["xy_emb"], xy.ravel(), flat)
+    np.add.at(grads["vert_emb"], vert.ravel(), flat)
+    return grads
+
+
+def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_params=None):
+    """The earlier optimizer update, with its AdamW loop. The loss and
+    gradients come from model.batch_loss_and_grads, which looks up
+    forward_logits, backward_logits and _softmax on the model module; a test
+    that wants the whole earlier path patches those to the functions above."""
+    loss, grads = model.batch_loss_and_grads(
+        batch,
+        state.params,
+        model_cfg,
+        train_cfg,
+        guidance_cfg,
+        soft_params,
+        alpha_cache=state.alpha_cache,
+        rng=state.rng,
+    )
+    if not np.isfinite(loss.total):
+        raise NonFiniteLoss(
+            f"non-finite loss at step {state.step + 1}",
+            diagnostics={"loss": loss.to_dict()},
+        )
+    gnorm = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
+    if not np.isfinite(gnorm):
+        raise NonFiniteLoss(
+            f"non-finite gradient at step {state.step + 1}",
+            diagnostics={"loss": loss.to_dict(), "grad_norm": gnorm},
+        )
+    if train_cfg.grad_clip and gnorm > train_cfg.grad_clip:
+        scale = train_cfg.grad_clip / gnorm
+        for g in grads.values():
+            g *= scale
+
+    state.step += 1
+    lr = train_cfg.lr * min(1.0, state.step / max(1, train_cfg.warmup_steps))
+    b1, b2 = train_cfg.beta1, train_cfg.beta2
+    bias1 = 1.0 - b1**state.step
+    bias2 = 1.0 - b2**state.step
+    for name, p in state.params.items():
+        g = grads[name]
+        m = state.adam_m[name]
+        v = state.adam_v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + train_cfg.eps)
+        if train_cfg.weight_decay and p.ndim >= 2:
+            update = update + train_cfg.weight_decay * p
+        p -= (lr * update).astype(p.dtype)
+
+    return state, loss

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from ergoplan import dataset, ergoloss, guidance, model, tokenizer
@@ -117,6 +118,117 @@ class TestGradients:
             checked += 1
 
 
+def noisy_params(cfg, seed=0):
+    """Seeded parameters with every gain and bias moved off 1 and 0, so each
+    kernel operand takes part in the comparison."""
+    rng = np.random.default_rng(seed)
+    return {
+        name: (arr + 0.1 * rng.standard_normal(arr.shape)).astype(arr.dtype)
+        for name, arr in model.init_params(cfg).items()
+    }
+
+
+def assert_matches_reference(params, cfg, tokens, xy, vert, seed=0):
+    """Forward and backward must equal the reference kernels bit for bit."""
+    logits, cache = model.forward_logits(params, cfg, tokens, xy, vert, need_cache=True)
+    ref_logits, ref_cache = oracles.forward_logits(params, cfg, tokens, xy, vert, need_cache=True)
+    assert np.array_equal(logits, ref_logits)
+    assert np.array_equal(model.forward_logits(params, cfg, tokens, xy, vert), ref_logits)
+    dlogits = np.random.default_rng(seed).standard_normal(logits.shape).astype(logits.dtype)
+    grads = model.backward_logits(params, cfg, cache, dlogits)
+    ref_grads = oracles.backward_logits(params, cfg, ref_cache, dlogits)
+    for name in params:
+        assert grads[name].dtype == ref_grads[name].dtype, name
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def padded(plans, cfg=SMALL):
+    batch = [(tokenizer.encode(p, V), p) for p in plans]
+    return model._pad_batch(batch, V, cfg.max_vertex_index)
+
+
+class TestReferenceKernels:
+    def test_ragged_padded_float32_batch(self):
+        tokens, xy, vert = padded([synth_plan(s, SYNTH_SMALL) for s in (0, 4, 9)])
+        assert (tokens == V.pad).any()  # the rows really are ragged
+        assert_matches_reference(noisy_params(SMALL), SMALL, tokens, xy, vert)
+
+    def test_single_position(self):
+        one = np.zeros((2, 1), dtype=np.int64)
+        assert_matches_reference(noisy_params(SMALL), SMALL, one + V.bos, one, one)
+
+    def test_lengths_back_to_back(self):
+        # a new length builds a new cached mask; the old one is reused after
+        tokens, xy, vert = padded([synth_plan(5, SYNTH_SMALL)])
+        params = noisy_params(SMALL, seed=1)
+        for n in (7, 12, 7):
+            assert_matches_reference(params, SMALL, tokens[:, :n], xy[:, :n], vert[:, :n])
+
+    def test_float64_micro(self):
+        tokens, xy, vert = padded([synth_plan(s, SYNTH_SMALL) for s in (2, 3)], MICRO)
+        params = noisy_params(MICRO, seed=2)
+        assert params["tok_emb"].dtype == np.float64
+        assert_matches_reference(params, MICRO, tokens, xy, vert)
+
+    def test_train_steps_match_reference(self, monkeypatch):
+        corpus = dataset.synth_generate(6, seed=3, cfg=SYNTH_SMALL)
+        samples = samples_from(corpus)
+        cfg = TrainConfig(batch_size=4, guided=True, seed=9)
+        batches = [[samples[i] for i in (s, s + 1, s + 2, 0)] for s in range(3)]
+        state = model.init_train_state(SMALL, cfg)
+        for batch in batches:
+            model.train_step(batch, state, SMALL, cfg)
+
+        monkeypatch.setattr(model, "forward_logits", oracles.forward_logits)
+        monkeypatch.setattr(model, "backward_logits", oracles.backward_logits)
+        monkeypatch.setattr(model, "_softmax", oracles._softmax)
+        ref = model.init_train_state(SMALL, cfg)
+        for batch in batches:
+            oracles.train_step(batch, ref, SMALL, cfg)
+
+        assert state.step == ref.step == 3
+        assert model.parameter_checksum(state.params) == model.parameter_checksum(ref.params)
+        for name in state.params:
+            assert np.array_equal(state.adam_m[name], ref.adam_m[name]), name
+            assert np.array_equal(state.adam_v[name], ref.adam_v[name]), name
+
+
+class TestInPlaceHazards:
+    def test_inputs_unchanged_by_forward_backward_and_decode(self):
+        params = noisy_params(SMALL, seed=3)
+        before = model.parameter_checksum(params)
+        tokens, xy, vert = padded([synth_plan(s, SYNTH_SMALL) for s in (1, 6)])
+        logits, cache = model.forward_logits(params, SMALL, tokens, xy, vert, need_cache=True)
+
+        def arrays(node, path=()):
+            if isinstance(node, np.ndarray):
+                yield path, node
+            elif isinstance(node, dict):
+                for key, child in node.items():
+                    yield from arrays(child, path + (key,))
+            elif isinstance(node, (list, tuple)):
+                for j, child in enumerate(node):
+                    yield from arrays(child, path + (j,))
+
+        saved = [(path, arr.copy()) for path, arr in arrays(cache)]
+        assert len(saved) > 14 * SMALL.layers  # every layer caches 14 arrays
+        dlogits = np.ones_like(logits)
+        model.backward_logits(params, SMALL, cache, dlogits)
+        assert (dlogits == 1.0).all()
+        for (path, before_arr), (_, after_arr) in zip(saved, arrays(cache)):
+            assert np.array_equal(after_arr, before_arr), path
+        net = Model(SMALL, params)
+        net.generate_batch([tokens[0, :5], tokens[1, :9]], max_len=16)
+        assert model.parameter_checksum(params) == before
+
+    def test_cached_mask_is_read_only(self):
+        mask = model._causal_mask(5, np.dtype(np.float32))
+        assert model._causal_mask(5, np.dtype(np.float32)) is mask
+        with pytest.raises(ValueError):
+            mask[0, 1] = 0.0
+        assert mask[0, 1] == np.float32(-1e9)
+
+
 class TestTraining:
     def test_loss_decreases_on_memorization(self, memorized):
         _, log, _ = memorized
@@ -159,6 +271,15 @@ class TestTraining:
         assert model.parameter_checksum(guided_state.params) == model.parameter_checksum(
             plain_state.params
         )
+
+    def test_alpha_cache_ignores_recycled_ids(self, spread_plan):
+        # a stale entry at the plan's id() must not be returned for it
+        gcfg = guidance.GuidanceConfig()
+        sp = ergoloss.SoftParams()
+        cache = {id(spread_plan): 0.75}
+        alpha = model._sample_alpha(spread_plan, sp, gcfg, cache)
+        assert alpha == guidance.alpha(ergoloss.ergonomic_loss(spread_plan, sp).total, gcfg)
+        assert alpha != 0.75
 
     def test_checkpoint_round_trip(self, memorized, tmp_path):
         state, _, _ = memorized
@@ -241,6 +362,14 @@ class TestGenerate:
             assert len(out) == 24
         else:
             assert out[-1] == V.eos
+
+    def test_batch_generation_matches_reference_kernels(self, memorized, monkeypatch):
+        state, _, samples = memorized
+        net = Model(SMALL, state.params)
+        prefixes = [tokenizer.boundary_door_prefix(s, V) for s, _ in samples[:6]]
+        outputs = net.generate_batch(prefixes)
+        monkeypatch.setattr(model, "forward_logits", oracles.forward_logits)
+        assert net.generate_batch(prefixes) == outputs
 
     def test_batch_generation_matches_single(self, memorized):
         state, _, samples = memorized
