@@ -334,7 +334,7 @@ def _cmd_train(args):
         heads=opt(args.heads, "heads", int, 4),
         embed_dim=opt(args.embed_dim, "embed_dim", int, 64),
         context_len=opt(args.context, "context", int, 320),
-        vocab_size=resolution + 18,
+        vocab_size=tokenizer.Vocabulary(resolution).size,
         seed=args.seed,
     )
     train_cfg = model.TrainConfig(

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import ergocost
 from .errors import InvariantViolation, PlanSyntaxError
-from .geometry import min_distance
 from .plan import (
     DoorSegment,
     FloorPlan,
@@ -298,8 +297,7 @@ def synth_plan(seed, cfg=None):
         _rect_polygon(leaves[i], step) for i in range(len(leaves))
     ]
 
-    def leaf_distance(i, j):
-        return min_distance(plan_no_types[i], plan_no_types[j])
+    leaf_distance = ergocost._distance_memo(plan_no_types)
 
     kinds = [None] * len(leaves)
     kinds[entrance_idx] = RoomType.Entrance

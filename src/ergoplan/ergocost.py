@@ -1,6 +1,6 @@
 """Hard (non-differentiable) ergonomic cost of a floor plan.
 
-Four distance-based terms, all in meters:
+Four distance-based terms, all in meters, declared once in RULES:
   * each entrance room is charged its distance to the front door;
   * each entrance/dining room is assigned to its nearest kitchen, and each
     kitchen is charged the mean distance to its assigned rooms;
@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .geometry import min_distance
-from .plan import RoomType, ScaleConfig, rooms_of_type
+from .plan import RoomType, ScaleConfig
 
 KITCHEN_CLIENTS = (RoomType.Entrance, RoomType.DiningRoom)
 BATHROOM_CLIENTS = (
@@ -32,7 +32,22 @@ BALCONY_NEIGHBORS = (
     RoomType.StudyRoom,
 )
 
-TERMS = ("entrances", "kitchens", "bathrooms", "balconies")
+DOOR = "door"  # a rule target: the plan's front-door segment
+CLIENT, TARGET = "client", "target"  # the charged side of a rule
+
+# The adjacency rules, each (term, client kinds, target kinds or DOOR,
+# charged side). A CLIENT-charged rule charges each client its distance to
+# the nearest target; a TARGET-charged rule assigns each client to its
+# nearest target and charges each assigned target the mean distance to its
+# clients. The soft loss in ergoloss relaxes the same table.
+RULES = (
+    ("entrances", (RoomType.Entrance,), DOOR, CLIENT),
+    ("kitchens", KITCHEN_CLIENTS, (RoomType.Kitchen,), TARGET),
+    ("bathrooms", BATHROOM_CLIENTS, (RoomType.Bathroom,), TARGET),
+    ("balconies", (RoomType.Balcony,), BALCONY_NEIGHBORS, CLIENT),
+)
+TERMS = tuple(rule[0] for rule in RULES)
+_RULE = dict(zip(TERMS, RULES))
 
 
 @dataclass(frozen=True)
@@ -63,11 +78,51 @@ class ErgoReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _client_indices(plan, client_types):
-    out = []
-    for kind in client_types:
-        out.extend(rooms_of_type(plan, kind))
-    return sorted(out)
+def _distance_memo(shapes, scale=None):
+    """distance(i, j): min_distance between shapes[i] and shapes[j],
+    computed at most once per unordered pair (min_distance is symmetric)."""
+    memo = {}
+
+    def distance(i, j):
+        key = (i, j) if i <= j else (j, i)
+        if key not in memo:
+            memo[key] = min_distance(shapes[i], shapes[j], scale)
+        return memo[key]
+
+    return distance
+
+
+def _plan_distance(plan, scale):
+    """Distance memo over the plan's rooms, with the door at index len(rooms)."""
+    return _distance_memo(plan.rooms + (plan.door,), scale or ScaleConfig())
+
+
+def _indices(plan, kinds):
+    if kinds == DOOR:
+        return [len(plan.rooms)]
+    return [i for i, room in enumerate(plan.rooms) if room.kind in kinds]
+
+
+def _nearest(plan, clients, targets, distance):
+    targets = _indices(plan, targets)
+    if not targets:
+        return {}
+    return {
+        c: min(targets, key=lambda t: (distance(c, t), t)) for c in _indices(plan, clients)
+    }
+
+
+def _charges(plan, rule, distance):
+    """[(charged room index, meters)] of one rule, in plan order; targets
+    that no client is assigned to carry no charge and are omitted."""
+    _, clients, targets, charged = rule
+    nearest = _nearest(plan, clients, targets, distance)
+    if charged == CLIENT:
+        return [(c, distance(c, t)) for c, t in nearest.items()]
+    per_target = {}
+    for c, t in nearest.items():
+        per_target.setdefault(t, []).append(distance(c, t))
+    return [(t, sum(dists) / len(dists)) for t, dists in sorted(per_target.items())]
 
 
 def nearest_assignment(plan, client_types, target_type, scale):
@@ -76,50 +131,22 @@ def nearest_assignment(plan, client_types, target_type, scale):
     Ties break toward the lowest target index in plan order, which keeps the
     assignment deterministic.
     """
-    targets = rooms_of_type(plan, target_type)
-    assignment = {}
-    if not targets:
-        return assignment
-    for ci in _client_indices(plan, client_types):
-        best = min(
-            targets, key=lambda ti: (min_distance(plan.rooms[ci], plan.rooms[ti], scale), ti)
-        )
-        assignment[ci] = best
-    return assignment
+    return _nearest(plan, client_types, (target_type,), _plan_distance(plan, scale))
 
 
 def entrance_cost(plan, scale=None):
     """[(entrance_index, meters to the front door)] for every entrance room."""
-    scale = scale or ScaleConfig()
-    return [
-        (i, min_distance(plan.rooms[i], plan.door, scale))
-        for i in rooms_of_type(plan, RoomType.Entrance)
-    ]
-
-
-def _assigned_cost(plan, client_types, target_type, scale):
-    assignment = nearest_assignment(plan, client_types, target_type, scale)
-    per_target = {}
-    for ci, ti in assignment.items():
-        per_target.setdefault(ti, []).append(ci)
-    out = []
-    for ti in rooms_of_type(plan, target_type):
-        clients = per_target.get(ti)
-        if not clients:  # unassigned targets carry no charge and are omitted
-            continue
-        dists = [min_distance(plan.rooms[ti], plan.rooms[ci], scale) for ci in clients]
-        out.append((ti, sum(dists) / len(dists)))
-    return out
+    return _charges(plan, _RULE["entrances"], _plan_distance(plan, scale))
 
 
 def kitchen_cost(plan, scale=None):
     """[(kitchen_index, mean meters to its assigned entrance/dining rooms)]."""
-    return _assigned_cost(plan, KITCHEN_CLIENTS, RoomType.Kitchen, scale or ScaleConfig())
+    return _charges(plan, _RULE["kitchens"], _plan_distance(plan, scale))
 
 
 def bathroom_cost(plan, scale=None):
     """[(bathroom_index, mean meters to its assigned client rooms)]."""
-    return _assigned_cost(plan, BATHROOM_CLIENTS, RoomType.Bathroom, scale or ScaleConfig())
+    return _charges(plan, _RULE["bathrooms"], _plan_distance(plan, scale))
 
 
 def balcony_cost(plan, scale=None):
@@ -127,33 +154,17 @@ def balcony_cost(plan, scale=None):
 
     Empty when the plan has no room of a preferred neighbor type.
     """
-    scale = scale or ScaleConfig()
-    neighbor_indices = _client_indices(plan, BALCONY_NEIGHBORS)
-    if not neighbor_indices:
-        return []
-    return [
-        (
-            bi,
-            min(min_distance(plan.rooms[bi], plan.rooms[ni], scale) for ni in neighbor_indices),
-        )
-        for bi in rooms_of_type(plan, RoomType.Balcony)
-    ]
+    return _charges(plan, _RULE["balconies"], _plan_distance(plan, scale))
 
 
 def ergonomic_cost(plan, scale=None):
     """Full ErgoReport: the mean per-room charge over all four terms."""
-    scale = scale or ScaleConfig()
-    per_term = {
-        "entrances": entrance_cost(plan, scale),
-        "kitchens": kitchen_cost(plan, scale),
-        "bathrooms": bathroom_cost(plan, scale),
-        "balconies": balcony_cost(plan, scale),
-    }
-    entries = []
-    for term in TERMS:
-        for idx, cost in per_term[term]:
-            entries.append((idx, plan.rooms[idx].kind, cost))
-    applicable = {term: bool(per_term[term]) for term in TERMS}
+    distance = _plan_distance(plan, scale)
+    per_term = {term: _charges(plan, rule, distance) for term, rule in _RULE.items()}
+    entries = [
+        (i, plan.rooms[i].kind, cost) for charges in per_term.values() for i, cost in charges
+    ]
+    applicable = {term: bool(charges) for term, charges in per_term.items()}
     if entries:
         total = sum(cost for _, _, cost in entries) / len(entries)
     else:

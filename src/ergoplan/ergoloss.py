@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput
-from .ergocost import BALCONY_NEIGHBORS, BATHROOM_CLIENTS, KITCHEN_CLIENTS, TERMS
+from .ergocost import DOOR, RULES, TERMS
 from .plan import DEFAULT_METERS_PER_CELL, RoomType
 
 _TINY = np.finfo(float).tiny
@@ -179,86 +179,37 @@ def soft_distance(a, b, params=None, resolution=None):
 
 
 def _term_values_and_grads(vplan, room_coords, door, beta):
-    """Evaluate all four soft loss terms on variant coordinate arrays.
+    """Evaluate every rule's soft loss term on variant coordinate arrays.
 
-    room_coords: list of (V, n_i, 2) arrays in unit space; door: (V, 2, 2).
-    Returns ({term: (V,) or None}, {term: {room_index: (V, n_i, 2)}}).
+    A term is the mean, over its client rooms, of the softmin combination of
+    the client's soft distances to the rule's targets; the door is a single
+    target. room_coords: list of (V, n_i, 2) arrays in unit space; door:
+    (V, 2, 2). Returns ({term: (V,) or None}, {term: {room_index: (V, n_i, 2)}}).
     """
+    door_index = len(room_coords)
+    coords = room_coords + [door]
     values = {}
     grads = {}
-
-    def pair(i, j):
-        return _pair_soft_distance(room_coords[i], room_coords[j], beta)
-
-    entrances = vplan.indices(RoomType.Entrance)
-    if entrances:
-        acc = {}
-        vals = []
-        for ei in entrances:
-            d, dr, _ = _pair_soft_distance(room_coords[ei], door, beta)
-            vals.append(d)
-            acc[ei] = acc.get(ei, 0.0) + dr / len(entrances)
-        values["entrances"] = np.mean(vals, axis=0)
-        grads["entrances"] = acc
-    else:
-        values["entrances"] = None
-
-    def assigned_term(name, client_kinds, target_kind):
+    for term, client_kinds, target_kinds, _charged in RULES:
         clients = vplan.indices(client_kinds)
-        targets = vplan.indices(target_kind)
+        targets = [door_index] if target_kinds == DOOR else vplan.indices(target_kinds)
         if not clients or not targets:
-            values[name] = None
-            return
+            values[term] = None
+            continue
         acc = {}
         client_vals = []
+        scale = 1.0 / len(clients)
         for ci in clients:
-            dists = []
-            pair_grads = []
-            for ti in targets:
-                d, dc, dt = pair(ci, ti)
-                dists.append(d)
-                pair_grads.append((dc, dt))
-            stacked = np.stack(dists, axis=1)  # (V, targets)
-            combined, dstack = _soft_combine(stacked, beta)
+            pairs = [_pair_soft_distance(coords[ci], coords[ti], beta) for ti in targets]
+            combined, dstack = _soft_combine(np.stack([d for d, _, _ in pairs], axis=1), beta)
             client_vals.append(combined)
-            scale = 1.0 / len(clients)
-            for j, ti in enumerate(targets):
+            for j, (ti, (_, dc, dt)) in enumerate(zip(targets, pairs)):
                 w = dstack[:, j, None, None] * scale
-                dc, dt = pair_grads[j]
                 acc[ci] = acc.get(ci, 0.0) + w * dc
-                acc[ti] = acc.get(ti, 0.0) + w * dt
-        values[name] = np.mean(client_vals, axis=0)
-        grads[name] = acc
-
-    assigned_term("kitchens", KITCHEN_CLIENTS, RoomType.Kitchen)
-    assigned_term("bathrooms", BATHROOM_CLIENTS, RoomType.Bathroom)
-
-    balconies = vplan.indices(RoomType.Balcony)
-    neighbors = vplan.indices(BALCONY_NEIGHBORS)
-    if balconies and neighbors:
-        acc = {}
-        balcony_vals = []
-        for bi in balconies:
-            dists = []
-            pair_grads = []
-            for ni in neighbors:
-                d, db, dn = pair(bi, ni)
-                dists.append(d)
-                pair_grads.append((db, dn))
-            stacked = np.stack(dists, axis=1)
-            combined, dstack = _soft_combine(stacked, beta)
-            balcony_vals.append(combined)
-            scale = 1.0 / len(balconies)
-            for j, ni in enumerate(neighbors):
-                w = dstack[:, j, None, None] * scale
-                db, dn = pair_grads[j]
-                acc[bi] = acc.get(bi, 0.0) + w * db
-                acc[ni] = acc.get(ni, 0.0) + w * dn
-        values["balconies"] = np.mean(balcony_vals, axis=0)
-        grads["balconies"] = acc
-    else:
-        values["balconies"] = None
-
+                if ti != door_index:
+                    acc[ti] = acc.get(ti, 0.0) + w * dt
+        values[term] = np.mean(client_vals, axis=0)
+        grads[term] = acc
     return values, grads
 
 

@@ -67,10 +67,7 @@ def _coordinate_weights(row, cfg):
 def expected_token(row, cfg):
     """Continuous expected coordinate in [0, 1): the probability- and
     Gaussian-weighted mean of coordinate values around the argmax."""
-    _, values, weights = _coordinate_weights(row, cfg)
-    probs = np.asarray(row, dtype=float)[: cfg.resolution]
-    mass = weights * probs
-    return float((mass * values).sum() / mass.sum())
+    return expected_token_grad(row, cfg)[0]
 
 
 def expected_token_grad(row, cfg):
@@ -93,7 +90,6 @@ class PositionalLoss:
     loss: float
     row_grads: dict  # position -> (vocab,) array, d loss / d row
     eligible_positions: list
-    v_bars: dict  # position -> substituted normalized value
 
 
 def eligible_positions(gt_seq, prob_rows, vocab, cfg):
@@ -132,12 +128,10 @@ def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None, rng=None)
     vplan = ergoloss.VertexPlan.from_plan(gt_plan)
     substitutions = []
     v_grads = []
-    v_bars = {}
     for pos, room_idx, vert_idx, axis in eligible:
         v_bar, dv_bar = expected_token_grad(prob_rows[pos], cfg)
         substitutions.append((room_idx, vert_idx, axis, v_bar * cfg.resolution))
         v_grads.append(dv_bar)
-        v_bars[pos] = v_bar
     losses, dvalues = ergoloss.substituted_losses(vplan, substitutions, params)
     if losses is None:
         raise NoEligiblePositions("no applicable loss term for this plan")
@@ -150,7 +144,6 @@ def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None, rng=None)
         loss=float(losses.mean()),
         row_grads=row_grads,
         eligible_positions=eligible,
-        v_bars=v_bars,
     )
 
 

@@ -92,11 +92,16 @@ def plan_is_valid(plan):
 
 
 def plan_coverage(plan):
-    """(covered_fraction, overlap_fraction) of the boundary area."""
+    """(covered_fraction, overlap_fraction) of the boundary area.
+
+    Covered area is the rooms' union intersected with the boundary, by
+    inclusion-exclusion, so room area outside the boundary covers nothing.
+    """
     boundary_area = geometry.polygon_area(plan.boundary)
     union = geometry.union_area(plan.rooms)
-    overlap = geometry.pairwise_overlap_area(plan.rooms)
-    return union / boundary_area, overlap / boundary_area
+    covered = union + boundary_area - geometry.union_area(plan.rooms + (plan.boundary,))
+    overlap = sum(geometry.polygon_area(r) for r in plan.rooms) - union
+    return covered / boundary_area, overlap / boundary_area
 
 
 def _tally(sequences, cfg):

@@ -27,7 +27,7 @@ class ModelConfig:
     heads: int = 4
     embed_dim: int = 64
     context_len: int = 320
-    vocab_size: int = 274
+    vocab_size: int = tokenizer.Vocabulary().size
     max_vertex_index: int = 32
     seed: int = 0
     dtype: str = "float32"
@@ -357,7 +357,7 @@ class Model:
     def __init__(self, cfg, params=None, vocab=None):
         self.cfg = cfg
         self.params = params if params is not None else init_params(cfg)
-        self.vocab = vocab or tokenizer.Vocabulary(cfg.vocab_size - 18)
+        self.vocab = vocab or tokenizer.Vocabulary.for_size(cfg.vocab_size)
 
     def forward(self, seq):
         """Next-token probability rows for one TokenSequence: row t is the

@@ -152,14 +152,6 @@ def validate_plan(plan):
     return plan
 
 
-def is_valid_plan(plan):
-    try:
-        validate_plan(plan)
-        return True
-    except InvariantViolation:
-        return False
-
-
 def serialize_plan(plan):
     """Plan as a UTF-8 JSON string (lossless, see deserialize_plan)."""
     payload = {
@@ -212,8 +204,3 @@ def deserialize_plan(text):
         rooms=tuple(rooms),
     )
     return validate_plan(plan)
-
-
-def rooms_of_type(plan, kind):
-    """Indices of rooms with the given type, in plan order."""
-    return [i for i, room in enumerate(plan.rooms) if room.kind == kind]

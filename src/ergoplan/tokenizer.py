@@ -33,7 +33,12 @@ class Vocabulary:
         self.bos = self.room_token_base + N_ROOM_TYPES
         self.eos = self.bos + 1
         self.pad = self.bos + 2
-        self.size = self.resolution + 18
+        self.size = self.pad + 1
+
+    @classmethod
+    def for_size(cls, size):
+        """The vocabulary with `size` token ids (the inverse of `.size`)."""
+        return cls(size - cls(0).size)
 
     def room_token(self, kind):
         return self.room_token_base + int(RoomType(kind))

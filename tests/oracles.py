@@ -5,17 +5,25 @@ distances via axis-aligned bounding-gap formulas instead of general
 segment projection, areas via unit-cell rasterization instead of sweeps,
 assignments via exhaustive enumeration, gradients via central differences.
 
-The transformer kernels at the end are the exception. They are the
-package's earlier allocate-per-operation forward, backward and AdamW code,
-kept unchanged. The package now does the same floating-point operations in
-the same order in buffers it owns, so its results must equal these
-bit for bit, not merely to a tolerance.
+The code at the end is the exception. `_term_values_and_grads` is the
+package's earlier soft-loss evaluation with one block per term, and the
+transformer kernels are its earlier allocate-per-operation forward,
+backward and AdamW code, both kept unchanged. The package now does the
+same floating-point operations in the same order (one loop over the rule
+table; buffers it owns), so its results must equal these bit for bit, not
+merely to a tolerance.
 """
 
 import numpy as np
 
 from ergoplan import model
-from ergoplan.ergoloss import SoftParams, VertexPlan, ergonomic_loss
+from ergoplan.ergoloss import (
+    SoftParams,
+    VertexPlan,
+    _pair_soft_distance,
+    _soft_combine,
+    ergonomic_loss,
+)
 from ergoplan.errors import ContextOverflow, NonFiniteLoss, OutOfRange
 from ergoplan.plan import RoomType
 
@@ -167,6 +175,93 @@ def loss_finite_difference(vplan, params=None, h=1e-4):
                 g[vi, axis] = (loss_of(plus) - loss_of(minus)) / (2 * h)
         grads.append(g)
     return grads
+
+
+# --- earlier soft-loss term evaluation: the bit-identity reference ------
+
+
+def _term_values_and_grads(vplan, room_coords, door, beta):
+    """Evaluate all four soft loss terms on variant coordinate arrays.
+
+    room_coords: list of (V, n_i, 2) arrays in unit space; door: (V, 2, 2).
+    Returns ({term: (V,) or None}, {term: {room_index: (V, n_i, 2)}}).
+    """
+    values = {}
+    grads = {}
+
+    def pair(i, j):
+        return _pair_soft_distance(room_coords[i], room_coords[j], beta)
+
+    entrances = vplan.indices(RoomType.Entrance)
+    if entrances:
+        acc = {}
+        vals = []
+        for ei in entrances:
+            d, dr, _ = _pair_soft_distance(room_coords[ei], door, beta)
+            vals.append(d)
+            acc[ei] = acc.get(ei, 0.0) + dr / len(entrances)
+        values["entrances"] = np.mean(vals, axis=0)
+        grads["entrances"] = acc
+    else:
+        values["entrances"] = None
+
+    def assigned_term(name, client_kinds, target_kind):
+        clients = vplan.indices(client_kinds)
+        targets = vplan.indices(target_kind)
+        if not clients or not targets:
+            values[name] = None
+            return
+        acc = {}
+        client_vals = []
+        for ci in clients:
+            dists = []
+            pair_grads = []
+            for ti in targets:
+                d, dc, dt = pair(ci, ti)
+                dists.append(d)
+                pair_grads.append((dc, dt))
+            stacked = np.stack(dists, axis=1)  # (V, targets)
+            combined, dstack = _soft_combine(stacked, beta)
+            client_vals.append(combined)
+            scale = 1.0 / len(clients)
+            for j, ti in enumerate(targets):
+                w = dstack[:, j, None, None] * scale
+                dc, dt = pair_grads[j]
+                acc[ci] = acc.get(ci, 0.0) + w * dc
+                acc[ti] = acc.get(ti, 0.0) + w * dt
+        values[name] = np.mean(client_vals, axis=0)
+        grads[name] = acc
+
+    assigned_term("kitchens", KITCHEN_CLIENTS, RoomType.Kitchen)
+    assigned_term("bathrooms", BATHROOM_CLIENTS, RoomType.Bathroom)
+
+    balconies = vplan.indices(RoomType.Balcony)
+    neighbors = vplan.indices(BALCONY_NEIGHBORS)
+    if balconies and neighbors:
+        acc = {}
+        balcony_vals = []
+        for bi in balconies:
+            dists = []
+            pair_grads = []
+            for ni in neighbors:
+                d, db, dn = pair(bi, ni)
+                dists.append(d)
+                pair_grads.append((db, dn))
+            stacked = np.stack(dists, axis=1)
+            combined, dstack = _soft_combine(stacked, beta)
+            balcony_vals.append(combined)
+            scale = 1.0 / len(balconies)
+            for j, ni in enumerate(neighbors):
+                w = dstack[:, j, None, None] * scale
+                db, dn = pair_grads[j]
+                acc[bi] = acc.get(bi, 0.0) + w * db
+                acc[ni] = acc.get(ni, 0.0) + w * dn
+        values["balconies"] = np.mean(balcony_vals, axis=0)
+        grads["balconies"] = acc
+    else:
+        values["balconies"] = None
+
+    return values, grads
 
 
 # --- earlier transformer kernels: the bit-identity reference -------------

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from conftest import make_plan, rect
@@ -8,6 +9,7 @@ from oracles import loss_finite_difference
 
 from ergoplan import ergoloss
 from ergoplan.dataset import SynthConfig, synth_plan
+from ergoplan.ergocost import TERMS
 from ergoplan.errors import EmptyInput
 from ergoplan.ergoloss import SoftParams, VertexPlan
 from ergoplan.plan import RoomType
@@ -378,3 +380,62 @@ class TestSubstitutedLosses:
             )
             _, grads = ergoloss.ergonomic_loss_grad(probe, CELLS)
             assert grads[ri][vi, axis] == pytest.approx(dval, abs=1e-12)
+
+
+class TestReferenceTerms:
+    """The loop over the rule table against the earlier per-term blocks,
+    kept verbatim as `oracles._term_values_and_grads`."""
+
+    @staticmethod
+    def evaluate_both(monkeypatch, vplan, params, variants=None):
+        new = ergoloss._evaluate(vplan, params, variants)
+        with monkeypatch.context() as patched:
+            patched.setattr(ergoloss, "_term_values_and_grads", oracles._term_values_and_grads)
+            old = ergoloss._evaluate(vplan, params, variants)
+        return new, old
+
+    @staticmethod
+    def assert_close(new, old, atol):
+        def close(a, b):
+            if atol == 0.0:
+                return np.array_equal(a, b)
+            return np.allclose(a, b, rtol=0.0, atol=atol)
+
+        (values, total, grads), (ref_values, ref_total, ref_grads) = new, old
+        for term in TERMS:
+            assert (values[term] is None) == (ref_values[term] is None)
+            if values[term] is not None:
+                assert close(values[term], ref_values[term])
+        assert (total is None) == (ref_total is None)
+        if total is not None:
+            assert close(total, ref_total)
+            assert all(close(g, r) for g, r in zip(grads, ref_grads))
+
+    def test_bit_identical_with_substitutions(self, monkeypatch, rng):
+        cfg = SynthConfig(de_ergonomize_fraction=0.5)  # criterion 1's plans
+        for seed in range(60):
+            vplan = VertexPlan.from_plan(synth_plan(seed, cfg))
+            substitutions = []
+            for _ in range(7):
+                ri = int(rng.integers(len(vplan.room_coords)))
+                vi = int(rng.integers(len(vplan.room_coords[ri])))
+                substitutions.append((ri, vi, int(rng.integers(2)), float(rng.random() * 256)))
+            for params in (SoftParams(), CELLS):
+                for variants in (None, substitutions):
+                    new, old = self.evaluate_both(monkeypatch, vplan, params, variants)
+                    self.assert_close(new, old, atol=0.0)
+
+    def test_several_entrances_within_1e12(self, monkeypatch):
+        # the entrance mean now scales by (1 / n) instead of dividing by n
+        entrances = [rect(0, 0, 8, 8), rect(32, 32, 40, 40), rect(48, 8, 56, 16)]
+        for n in (2, 3):
+            plan = make_plan(
+                rect(0, 0, 64, 64),
+                ((0, 4), (0, 8)),
+                [(RoomType.Entrance, r) for r in entrances[:n]]
+                + [(RoomType.Kitchen, rect(16, 0, 24, 8))],
+            )
+            vplan = VertexPlan.from_plan(plan)
+            for params in (SoftParams(), CELLS):
+                new, old = self.evaluate_both(monkeypatch, vplan, params, [(1, 2, 0, 30.5)])
+                self.assert_close(new, old, atol=1e-12)

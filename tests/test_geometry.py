@@ -8,7 +8,7 @@ from oracles import naive_distance, raster_union_and_overlap
 
 from ergoplan import geometry
 from ergoplan.errors import DegenerateArea, NotRectilinear, SelfIntersecting
-from ergoplan.plan import DoorSegment
+from ergoplan.plan import DoorSegment, ScaleConfig
 
 
 class TestNormalize:
@@ -132,6 +132,32 @@ class TestMinDistance:
             b = histogram_polygon(rng, base=(int(rng.integers(0, 30)), int(rng.integers(0, 30))))
             assert geometry.min_distance(a, b) == geometry.min_distance(b, a)
             assert geometry.min_distance(a, a) == 0.0
+
+    def test_exactly_symmetric_on_touching_nested_and_door_pairs(self, rng):
+        # ergocost memoizes one distance per unordered pair, so the operand
+        # order must not change a single bit
+        scale = ScaleConfig()
+        for _ in range(150):
+            a = histogram_polygon(rng, base=(40, 40))
+            width = max(x for x, _ in a) - 40
+            apart = (int(rng.integers(0, 90)), int(rng.integers(0, 90)))
+            touching = (40 + width, int(rng.integers(36, 44)))
+            pairs = [
+                (a, histogram_polygon(rng, base=apart)),
+                (a, histogram_polygon(rng, base=touching)),
+                (rect(30, 30, 70, 70), a),  # nested
+            ]
+            x, y = int(rng.integers(30, 70)), int(rng.integers(30, 70))
+            length = int(rng.integers(1, 6))
+            on_base = int(rng.integers(40, 40 + width))
+            for door in (
+                DoorSegment((x, y), (x + length, y)),
+                DoorSegment((x, y), (x, y + length)),
+                DoorSegment((on_base, 40), (on_base + 1, 40)),  # on the polygon's edge
+            ):
+                pairs.append((a, door))
+            for p, q in pairs:
+                assert geometry.min_distance(p, q, scale) == geometry.min_distance(q, p, scale)
 
     def test_matches_aabb_oracle(self, rng):
         for _ in range(30):

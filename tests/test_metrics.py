@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import make_plan, rect
+
 from ergoplan import dataset, ergocost, geometry, metrics, tokenizer
 from ergoplan.errors import ProtocolMismatch
 from ergoplan.metrics import EvalConfig, compare, evaluate
-from ergoplan.plan import ScaleConfig
+from ergoplan.plan import RoomType, ScaleConfig
 
 V = tokenizer.Vocabulary(256)
 CFG = EvalConfig(scale=ScaleConfig(1.0))
@@ -94,6 +96,19 @@ def test_coverage_tolerance():
     total = geometry.polygon_area(plan.boundary)
     loose = evaluate(seqs, EvalConfig(scale=CFG.scale, coverage_tolerance=lost / total + 0.01))
     assert loose.fully_covered == 1.0
+
+
+def test_coverage_ignores_room_area_outside_the_boundary():
+    # half of the room lies outside the 32x32 boundary
+    half_out = make_plan(
+        rect(0, 0, 32, 32), ((0, 4), (0, 8)), [(RoomType.LivingRoom, rect(16, 0, 48, 32))]
+    )
+    assert metrics.plan_coverage(half_out) == (0.5, 0.0)
+    # one room enclosing the whole boundary covers it exactly once
+    enclosing = make_plan(
+        rect(0, 0, 32, 32), ((0, 4), (0, 8)), [(RoomType.LivingRoom, rect(0, 0, 200, 200))]
+    )
+    assert metrics.plan_coverage(enclosing) == (1.0, 0.0)
 
 
 def test_threads_give_identical_report():
