@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,10 @@ from .plan import ScaleConfig, deserialize_plan, serialize_plan
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+
+SPLIT_CHOICES = (*dataset.SPLITS, "all")
+SPLIT_HELP = "corpus split to read (default: test if the corpus has splits.json, else all)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,11 +139,13 @@ def build_parser():
     p.add_argument("--prefixes", help="corpus dir; condition on each plan's boundary+door")
     p.add_argument("--from-scratch", action="store_true", help="condition on BOS only")
     p.add_argument("--n", type=int, default=None, help="cap the number of generations")
+    p.add_argument("--split", choices=SPLIT_CHOICES, default=None, help=SPLIT_HELP)
     p.add_argument("--out", help="token line output file (default: stdout)")
 
     p = sub.add_parser("eval", help="metric report over token sequences")
     p.add_argument("tokens", nargs="?", help="token file (default: stdin)")
     p.add_argument("--corpus", help="evaluate a plan corpus via its encoding instead")
+    p.add_argument("--split", choices=SPLIT_CHOICES, default=None, help=SPLIT_HELP)
     p.add_argument("--resolution", type=int, default=256)
     p.add_argument("--coverage-tolerance", type=float, default=0.02)
     p.add_argument("--overlap-tolerance", type=float, default=0.0)
@@ -305,11 +312,21 @@ def _cmd_guidance_check(args):
     return EXIT_OK
 
 
-def _train_samples(corpus_dir):
+def _corpus_plans(corpus_dir, split=None, default="test"):
+    """The plans of one split of a corpus directory. Without a split name,
+    `default` when the corpus has splits.json, else every plan."""
     corpus = dataset.load_corpus(corpus_dir)
-    plans = corpus.subset("train") if corpus.split else corpus.plans
+    split = split or (default if corpus.split else "all")
+    if split == "all":
+        return corpus.plans
+    if not corpus.split:
+        raise ErgoplanError(f"{corpus_dir} has no splits.json; use --split all")
+    return corpus.subset(split)
+
+
+def _train_samples(corpus_dir):
     samples = []
-    for plan in plans:
+    for plan in _corpus_plans(corpus_dir, default="train"):
         vocab = tokenizer.Vocabulary(plan.resolution)
         samples.append((tokenizer.encode(plan, vocab), plan))
     return samples
@@ -377,32 +394,40 @@ def _cmd_generate(args):
     else:
         if not args.prefixes:
             raise ErgoplanError("need --prefixes corpus or --from-scratch")
-        corpus = dataset.load_corpus(args.prefixes)
-        plans = corpus.plans[: args.n] if args.n else corpus.plans
+        plans = _corpus_plans(args.prefixes, args.split)
+        plans = plans[: args.n] if args.n else plans
         prefixes = [
             tokenizer.boundary_door_prefix(tokenizer.encode(p, vocab), vocab)
             for p in plans
         ]
+    start = time.perf_counter()
     results = net.generate_batch(prefixes)
-    truncated = sum(1 for _, t in results if t)
+    elapsed = time.perf_counter() - start
     lines = "\n".join(tokenizer.format_token_line(toks) for toks, _ in results) + "\n"
     if args.out:
         Path(args.out).write_text(lines)
     else:
         sys.stdout.write(lines)
-    if truncated:
-        print(f"{truncated}/{len(results)} generations hit the context limit", file=sys.stderr)
+    total = sum(len(toks) for toks, _ in results)
+    generated = total - sum(map(len, prefixes))
+    truncated = sum(1 for _, t in results if t)
+    print(
+        f"generated {generated} tokens in {elapsed:.2f} s "
+        f"({generated / max(elapsed, 1e-9):.0f} tok/s), mean length "
+        f"{total / max(len(results), 1):.1f}, {truncated}/{len(results)} hit the context limit",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 
 def _cmd_eval(args):
     if args.corpus:
-        corpus = dataset.load_corpus(args.corpus)
+        plans = _corpus_plans(args.corpus, args.split)
         sequences = []
-        for plan in corpus.plans:
+        for plan in plans:
             vocab = tokenizer.Vocabulary(plan.resolution)
             sequences.append(list(tokenizer.encode(plan, vocab).tokens))
-        resolution = corpus.plans[0].resolution if corpus.plans else args.resolution
+        resolution = plans[0].resolution if plans else args.resolution
     else:
         text = Path(args.tokens).read_text() if args.tokens else sys.stdin.read()
         sequences = tokenizer.parse_token_lines(text)

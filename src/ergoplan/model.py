@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ergoloss, guidance, tokenizer
-from .errors import ContextOverflow, NoEligiblePositions, NonFiniteLoss, OutOfRange
+from .errors import (
+    ContextOverflow,
+    EmptyInput,
+    NoEligiblePositions,
+    NonFiniteLoss,
+    OutOfRange,
+)
 
 CHECKPOINT_VERSION = 1
 
@@ -201,6 +207,53 @@ def _causal_mask(t, dtype):
     return mask
 
 
+def _embed(params, tokens, positions, xy, vert):
+    """Sum of the four input embeddings; `positions` indexes pos_emb."""
+    x = params["tok_emb"][tokens]
+    x += params["pos_emb"][positions]
+    x += params["xy_emb"][xy]
+    x += params["vert_emb"][vert]
+    return x
+
+
+def _attention_inputs(params, i, x):
+    """Layer i's pre-norm and qkv projection of x (..., D); returns the
+    normed input, its layernorm cache, and q, k and v as (..., D) views."""
+    a, ln1_cache = _layernorm(x, params[f"h{i}.ln1.g"], params[f"h{i}.ln1.b"])
+    qkv = a @ params[f"h{i}.attn.wqkv"]
+    qkv += params[f"h{i}.attn.bqkv"]
+    return (a, ln1_cache, *np.split(qkv, 3, axis=-1))
+
+
+def _attention_probs(q, k, mask, scale):
+    """Masked, scaled softmax of q against the keys k."""
+    probs = q @ k.transpose(0, 1, 3, 2)
+    probs *= scale
+    probs += mask
+    return _softmax(probs)
+
+
+def _attention_output(params, i, ctx, x):
+    """Layer i's output projection of the merged heads ctx, plus the
+    residual x."""
+    x1 = ctx @ params[f"h{i}.attn.wproj"]
+    x1 += params[f"h{i}.attn.bproj"]
+    x1 += x
+    return x1
+
+
+def _mlp_block(params, i, x1):
+    """Layer i's pre-norm GELU MLP and residual; returns (output, cache)."""
+    m, ln2_cache = _layernorm(x1, params[f"h{i}.ln2.g"], params[f"h{i}.ln2.b"])
+    fc = m @ params[f"h{i}.mlp.wfc"]
+    fc += params[f"h{i}.mlp.bfc"]
+    act, tanh_cache = _gelu(fc)
+    x = act @ params[f"h{i}.mlp.wproj"]
+    x += params[f"h{i}.mlp.bproj"]
+    x += x1
+    return x, {"m": m, "ln2": ln2_cache, "fc": fc, "tanh": tanh_cache, "act": act}
+
+
 def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
     """Next-token logits for an integer batch (B, T); rows at position t are
     the prediction for token t+1."""
@@ -219,10 +272,7 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
             f"vertex index {int(vert.max())} exceeds table size {cfg.max_vertex_index}"
         )
 
-    x = params["tok_emb"][tokens]
-    x += params["pos_emb"][:t]
-    x += params["xy_emb"][xy]
-    x += params["vert_emb"][vert]
+    x = _embed(params, tokens, slice(t), xy, vert)
     mask = _causal_mask(t, x.dtype)
     h = cfg.heads
     hd = cfg.embed_dim // h
@@ -230,45 +280,17 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
     cache = {"tokens": tokens, "xy": xy, "vert": vert, "layers": []}
 
     for i in range(cfg.layers):
-        a, ln1_cache = _layernorm(x, params[f"h{i}.ln1.g"], params[f"h{i}.ln1.b"])
-        qkv = a @ params[f"h{i}.attn.wqkv"]
-        qkv += params[f"h{i}.attn.bqkv"]
-        q, k, v = np.split(qkv, 3, axis=-1)
+        a, ln1_cache, q, k, v = _attention_inputs(params, i, x)
         q = q.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
         k = k.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
         v = v.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-        probs = q @ k.transpose(0, 1, 3, 2)
-        probs *= scale
-        probs += mask
-        _softmax(probs)
+        probs = _attention_probs(q, k, mask, scale)
         ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, t, cfg.embed_dim)
-        x1 = ctx @ params[f"h{i}.attn.wproj"]
-        x1 += params[f"h{i}.attn.bproj"]
-        x1 += x
-
-        m, ln2_cache = _layernorm(x1, params[f"h{i}.ln2.g"], params[f"h{i}.ln2.b"])
-        fc = m @ params[f"h{i}.mlp.wfc"]
-        fc += params[f"h{i}.mlp.bfc"]
-        act, tanh_cache = _gelu(fc)
-        x = act @ params[f"h{i}.mlp.wproj"]
-        x += params[f"h{i}.mlp.bproj"]
-        x += x1
+        x1 = _attention_output(params, i, ctx, x)
+        x, mlp_cache = _mlp_block(params, i, x1)
         if need_cache:
             cache["layers"].append(
-                {
-                    "a": a,
-                    "ln1": ln1_cache,
-                    "q": q,
-                    "k": k,
-                    "v": v,
-                    "probs": probs,
-                    "ctx": ctx,
-                    "m": m,
-                    "ln2": ln2_cache,
-                    "fc": fc,
-                    "tanh": tanh_cache,
-                    "act": act,
-                }
+                dict(a=a, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, ctx=ctx, **mlp_cache)
             )
 
     hfinal, lnf_cache = _layernorm(x, params["lnf.g"], params["lnf.b"])
@@ -278,6 +300,34 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
         cache["lnf"] = lnf_cache
         return logits, cache
     return logits
+
+
+def _decode_step(params, cfg, keys, values, tokens, positions, xy, vert):
+    """Logits (rows, vocab) for one new position per row, attending over the
+    cached keys and values up to each row's own position. Writes the new
+    position's k and v into keys[i] and values[i] (rows, heads, limit,
+    head_dim) in place; cached positions past a row's own are masked.
+    Rows stay a flat (rows, D) batch outside attention, so every projection
+    is one matrix product."""
+    b = len(tokens)
+    h = cfg.heads
+    hd = cfg.embed_dim // h
+    n = int(positions.max()) + 1
+    x = _embed(params, tokens, positions, xy, vert)
+    mask = np.where(np.arange(n) > positions[:, None], -1e9, 0.0).astype(x.dtype)
+    mask = mask[:, None, None, :]
+    scale = float(1.0 / np.sqrt(hd))
+    rows = np.arange(b)
+    for i in range(cfg.layers):
+        _, _, q, k, v = _attention_inputs(params, i, x)
+        keys[i][rows, :, positions] = k.reshape(b, h, hd)
+        values[i][rows, :, positions] = v.reshape(b, h, hd)
+        probs = _attention_probs(q.reshape(b, h, 1, hd), keys[i][:b, :, :n], mask, scale)
+        ctx = (probs @ values[i][:b, :, :n]).reshape(b, cfg.embed_dim)
+        x1 = _attention_output(params, i, ctx, x)
+        x, _ = _mlp_block(params, i, x1)
+    hfinal, _ = _layernorm(x, params["lnf.g"], params["lnf.b"])
+    return hfinal @ params["tok_emb"].T
 
 
 def backward_logits(params, cfg, cache, dlogits):
@@ -386,36 +436,76 @@ class Model:
         return out[0]
 
     def generate_batch(self, prefixes, max_len=None):
-        """Greedy-decode many prefixes in lockstep (right-padded batch)."""
-        vocab = self.vocab
-        limit = min(max_len or self.cfg.context_len, self.cfg.context_len)
+        """Greedy-decode many prefixes in lockstep: one forward pass over the
+        right-padded prefixes fills a per-layer key/value cache, then each
+        step feeds one new position per unfinished row. Returns one
+        (tokens, truncated_flag) pair per prefix."""
+        vocab, cfg = self.vocab, self.cfg
+        limit = cfg.context_len if max_len is None else min(max_len, cfg.context_len)
         seqs = [list(p) for p in prefixes]
         for s in seqs:
+            if not s:
+                raise EmptyInput("generation needs a non-empty prefix")
             if len(s) > limit:
                 raise ContextOverflow(f"prefix length {len(s)} exceeds {limit}")
-        done = [s[-1] == vocab.eos if s else False for s in seqs]
-        while True:
-            active = [i for i in range(len(seqs)) if not done[i] and len(seqs[i]) < limit]
-            if not active:
-                break
-            t_max = max(len(seqs[i]) for i in active)
-            batch_tokens = np.full((len(active), t_max), vocab.pad, dtype=np.int64)
-            batch_xy = np.zeros((len(active), t_max), dtype=np.int64)
-            batch_vert = np.zeros((len(active), t_max), dtype=np.int64)
-            for row, i in enumerate(active):
-                s = seqs[i]
-                batch_tokens[row, : len(s)] = s
-                xy, vert = tokenizer.indices_for_tokens(s, vocab)
-                batch_xy[row, : len(s)] = xy
-                batch_vert[row, : len(s)] = np.minimum(vert, self.cfg.max_vertex_index)
-            logits = forward_logits(self.params, self.cfg, batch_tokens, batch_xy, batch_vert)
-            for row, i in enumerate(active):
-                s = seqs[i]
-                nxt = int(np.argmax(logits[row, len(s) - 1]))
-                s.append(nxt)
-                if nxt == vocab.eos:
-                    done[i] = True
+        done = [s[-1] == vocab.eos for s in seqs]
+        live = [i for i, s in enumerate(seqs) if not done[i] and len(s) < limit]
+        if live:
+            self._decode_live(seqs, done, live, limit)
         return [(tuple(s), not d) for s, d in zip(seqs, done)]
+
+    def _decode_live(self, seqs, done, live, limit):
+        """Extend seqs[i] for every i in live until EOS (marked in done) or
+        the limit. Cache slot r holds row live[r]; a finished row's slot is
+        refilled with the last live one, so live rows stay in front."""
+        vocab, cfg, params = self.vocab, self.cfg, self.params
+        prefill = [
+            (tokenizer.TokenSequence(tuple(s), *tokenizer.indices_for_tokens(s, vocab)), None)
+            for s in (seqs[i] for i in live)
+        ]
+        # the (xy, vertex) indices of each row's last token
+        last = [(seq.xy_index[-1], seq.vertex_index[-1]) for seq, _ in prefill]
+        tokens, xy, vert = _pad_batch(prefill, vocab, cfg.max_vertex_index)
+        width = tokens.shape[1]
+        logits, cache = forward_logits(params, cfg, tokens, xy, vert, need_cache=True)
+        shape = (len(live), cfg.heads, limit, cfg.embed_dim // cfg.heads)
+        keys = [np.zeros(shape, dtype=logits.dtype) for _ in range(cfg.layers)]
+        values = [np.zeros(shape, dtype=logits.dtype) for _ in range(cfg.layers)]
+        for k, v, layer in zip(keys, values, cache["layers"]):
+            k[:, :, :width] = layer["k"]
+            v[:, :, :width] = layer["v"]
+        del cache
+        ends = np.array([len(seqs[i]) - 1 for i in live])
+        choices = logits[np.arange(len(live)), ends].argmax(-1)
+
+        while True:
+            for r in reversed(range(len(live))):
+                s = seqs[live[r]]
+                s.append(int(choices[r]))
+                last[r] = tokenizer.next_indices(s[-1], last[r], vocab)
+                done[live[r]] = s[-1] == vocab.eos
+                if done[live[r]] or len(s) == limit:
+                    end = len(live) - 1
+                    if r < end:
+                        for k, v in zip(keys, values):
+                            k[r] = k[end]
+                            v[r] = v[end]
+                        live[r], last[r] = live[end], last[end]
+                    live.pop()
+                    last.pop()
+            if not live:
+                return
+            logits = _decode_step(
+                params,
+                cfg,
+                keys,
+                values,
+                np.array([seqs[i][-1] for i in live]),
+                np.array([len(seqs[i]) - 1 for i in live]),
+                np.array([xy for xy, _ in last]),
+                np.minimum([vertex for _, vertex in last], cfg.max_vertex_index),
+            )
+            choices = logits.argmax(-1)
 
 
 @dataclass

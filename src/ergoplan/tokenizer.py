@@ -95,32 +95,25 @@ class ParseOutcome:
         return self.plan is not None
 
 
-def indices_for_tokens(tokens, vocab):
-    """Rebuild the xy/vertex index streams for a raw token list.
+def next_indices(token, previous, vocab):
+    """The (xy, vertex) indices of `token` given those of the token before
+    it, (0, 0) at the start. A non-coordinate token resets the pair counter;
+    coordinate tokens alternate x/y and count vertex pairs from 1."""
+    if not vocab.is_coordinate(token):
+        return 0, 0
+    xy, vertex = previous
+    return (2, vertex) if xy == 1 else (1, vertex + 1)
 
-    Any non-coordinate token resets the pair counter; coordinate tokens
-    alternate x/y and count vertex pairs from 1.
-    """
+
+def indices_for_tokens(tokens, vocab):
+    """Rebuild the xy/vertex index streams for a raw token list."""
     xy = []
     vertex = []
-    pair = 0
-    expecting_y = False
+    previous = (0, 0)
     for t in tokens:
-        if vocab.is_coordinate(t):
-            if expecting_y:
-                xy.append(2)
-                vertex.append(pair)
-                expecting_y = False
-            else:
-                pair += 1
-                xy.append(1)
-                vertex.append(pair)
-                expecting_y = True
-        else:
-            xy.append(0)
-            vertex.append(0)
-            pair = 0
-            expecting_y = False
+        previous = next_indices(t, previous, vocab)
+        xy.append(previous[0])
+        vertex.append(previous[1])
     return tuple(xy), tuple(vertex)
 
 

@@ -11,12 +11,14 @@ transformer kernels are its earlier allocate-per-operation forward,
 backward and AdamW code, both kept unchanged. The package now does the
 same floating-point operations in the same order (one loop over the rule
 table; buffers it owns), so its results must equal these bit for bit, not
-merely to a tolerance.
+merely to a tolerance. Last, `generate_batch` is the package's earlier
+greedy decoder, which re-runs the full forward pass for every token; the
+key/value-cached decoder must choose the same tokens.
 """
 
 import numpy as np
 
-from ergoplan import model
+from ergoplan import model, tokenizer
 from ergoplan.ergoloss import (
     SoftParams,
     VertexPlan,
@@ -509,3 +511,37 @@ def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_param
         p -= (lr * update).astype(p.dtype)
 
     return state, loss
+
+
+def generate_batch(net, prefixes, max_len=None):
+    """The package's earlier greedy decoder: one full forward pass over every
+    active row's whole prefix per generated token."""
+    vocab = net.vocab
+    limit = min(max_len or net.cfg.context_len, net.cfg.context_len)
+    seqs = [list(p) for p in prefixes]
+    for s in seqs:
+        if len(s) > limit:
+            raise ContextOverflow(f"prefix length {len(s)} exceeds {limit}")
+    done = [s[-1] == vocab.eos if s else False for s in seqs]
+    while True:
+        active = [i for i in range(len(seqs)) if not done[i] and len(seqs[i]) < limit]
+        if not active:
+            break
+        t_max = max(len(seqs[i]) for i in active)
+        batch_tokens = np.full((len(active), t_max), vocab.pad, dtype=np.int64)
+        batch_xy = np.zeros((len(active), t_max), dtype=np.int64)
+        batch_vert = np.zeros((len(active), t_max), dtype=np.int64)
+        for row, i in enumerate(active):
+            s = seqs[i]
+            batch_tokens[row, : len(s)] = s
+            xy, vert = tokenizer.indices_for_tokens(s, vocab)
+            batch_xy[row, : len(s)] = xy
+            batch_vert[row, : len(s)] = np.minimum(vert, net.cfg.max_vertex_index)
+        logits = forward_logits(net.params, net.cfg, batch_tokens, batch_xy, batch_vert)
+        for row, i in enumerate(active):
+            s = seqs[i]
+            nxt = int(np.argmax(logits[row, len(s) - 1]))
+            s.append(nxt)
+            if nxt == vocab.eos:
+                done[i] = True
+    return [(tuple(s), not d) for s, d in zip(seqs, done)]

@@ -4,7 +4,7 @@ import pytest
 
 from ergoplan import dataset, ergoloss, guidance, model, tokenizer
 from ergoplan.dataset import SynthConfig, synth_plan
-from ergoplan.errors import ContextOverflow, OutOfRange
+from ergoplan.errors import ContextOverflow, EmptyInput, OutOfRange
 from ergoplan.model import Model, ModelConfig, TrainConfig
 
 V = tokenizer.Vocabulary(256)
@@ -363,13 +363,72 @@ class TestGenerate:
         else:
             assert out[-1] == V.eos
 
-    def test_batch_generation_matches_reference_kernels(self, memorized, monkeypatch):
+    def test_step_logits_match_full_forward_on_ragged_batch(self):
+        # teacher-forced: each row feeds its own plan's next tokens from its
+        # own position, against one full forward over the grown sequences
+        params = noisy_params(SMALL, seed=4)
+        full, xy, vert = padded([synth_plan(s, SYNTH_SMALL) for s in (0, 4, 9)])
+        lengths = np.array([5, 11, 8])
+        width = lengths.max()
+        logits, cache = model.forward_logits(
+            params, SMALL, full[:, :width], xy[:, :width], vert[:, :width], need_cache=True
+        )
+        shape = (3, SMALL.heads, SMALL.context_len, SMALL.embed_dim // SMALL.heads)
+        keys = [np.zeros(shape, np.float32) for _ in range(SMALL.layers)]
+        values = [np.zeros(shape, np.float32) for _ in range(SMALL.layers)]
+        for k, v, layer in zip(keys, values, cache["layers"]):
+            k[:, :, :width] = layer["k"]
+            v[:, :, :width] = layer["v"]
+        reference = model.forward_logits(params, SMALL, full, xy, vert)
+        rows = np.arange(3)
+        for step in range(30):
+            pos = lengths + step
+            step_logits = model._decode_step(
+                params, SMALL, keys, values, full[rows, pos], pos, xy[rows, pos], vert[rows, pos]
+            )
+            expected = reference[rows, pos]
+            scale = np.abs(expected).max(-1, keepdims=True)
+            assert (np.abs(step_logits - expected) <= 1e-5 * scale).all(), step
+
+    def test_memorized_outputs_equal_reforward_oracle(self, memorized):
         state, _, samples = memorized
         net = Model(SMALL, state.params)
         prefixes = [tokenizer.boundary_door_prefix(s, V) for s, _ in samples[:6]]
+        # rows of different lengths that finish at different steps
+        prefixes += [seq.tokens[: 20 + 7 * j] for j, (seq, _) in enumerate(samples[6:9])]
         outputs = net.generate_batch(prefixes)
-        monkeypatch.setattr(model, "forward_logits", oracles.forward_logits)
-        assert net.generate_batch(prefixes) == outputs
+        assert outputs == oracles.generate_batch(net, prefixes)
+        assert len({len(toks) - len(p) for (toks, _), p in zip(outputs, prefixes)}) > 3
+
+    def test_context_exhaustion_and_eos_prefix_match_oracle(self):
+        net = Model(ModelConfig(layers=1, heads=2, embed_dim=16, context_len=24, seed=2))
+        prefixes = [
+            (V.bos,),
+            (V.bos, V.boundary_token, 40, 40),
+            (V.bos, V.eos),  # already finished: returned as it is
+            (V.bos,) + (7,) * 23,  # already at the context limit
+        ]
+        outputs = net.generate_batch(prefixes)
+        assert outputs == oracles.generate_batch(net, prefixes)
+        assert outputs[2] == ((V.bos, V.eos), False)
+        assert outputs[3] == (prefixes[3], True)
+        assert any(truncated and len(toks) == 24 for toks, truncated in outputs[:2])
+
+    def test_empty_prefix_raises(self):
+        net = Model(MICRO)
+        with pytest.raises(EmptyInput):
+            net.generate(())
+        with pytest.raises(EmptyInput):
+            net.generate_batch([(V.bos,), ()])
+
+    def test_prefix_longer_than_max_len_raises(self):
+        net = Model(MICRO)
+        with pytest.raises(ContextOverflow):
+            net.generate((V.bos,), max_len=0)
+        with pytest.raises(ContextOverflow):
+            net.generate_batch([(V.bos,), (V.bos, V.boundary_token)], max_len=1)
+        out, truncated = net.generate((V.bos,), max_len=3)
+        assert len(out) <= 3 and (truncated or out[-1] == V.eos)
 
     def test_batch_generation_matches_single(self, memorized):
         state, _, samples = memorized

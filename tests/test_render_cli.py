@@ -6,9 +6,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ergoplan import dataset, render, tokenizer
+from ergoplan import dataset, model, render, tokenizer
 from ergoplan.cli import main
 from ergoplan.plan import RoomType, deserialize_plan, serialize_plan
+
+V = tokenizer.Vocabulary(256)
 
 
 class TestRenderSvg:
@@ -199,3 +201,34 @@ class TestTrainGenerateCli:
         assert state.step == 3  # flag wins over config file
         assert cfg.layers == 1 and cfg.embed_dim == 8
         assert tcfg["guided"] is False
+
+    def test_split_selects_plans_for_generate_and_eval(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"
+        assert main(["--seed", "4", "synth", "--n", "10", "--out", str(corpus_dir)]) == 0
+        assert main(["split", "--in", str(corpus_dir), "--fractions", "0.6,0.2,0.2"]) == 0
+        corpus = dataset.load_corpus(corpus_dir)
+        capsys.readouterr()
+        cases = {(): "test", ("--split", "train"): "train", ("--split", "all"): None}
+        for flag, expected in cases.items():
+            assert main(["--format", "json", "eval", "--corpus", str(corpus_dir), *flag]) == 0
+            sequences = json.loads(capsys.readouterr().out)["counts"]["sequences"]
+            assert sequences == len(corpus.subset(expected) if expected else corpus.plans)
+
+        cfg = model.ModelConfig(layers=1, heads=1, embed_dim=8, context_len=64)
+        ckpt = tmp_path / "m.npz"
+        model.save_checkpoint(ckpt, model.init_train_state(cfg, model.TrainConfig()), cfg)
+        tokens_file = tmp_path / "gen.txt"
+        argv = ["generate", "--checkpoint", str(ckpt), "--prefixes", str(corpus_dir)]
+        assert main([*argv, "--out", str(tokens_file)]) == 0
+        report = capsys.readouterr().err
+        assert "tok/s" in report and "hit the context limit" in report
+        test_plans = corpus.subset("test")
+        lines = tokenizer.parse_token_lines(tokens_file.read_text())
+        assert len(lines) == len(test_plans) > 0
+        for line, plan in zip(lines, test_plans):
+            prefix = tokenizer.boundary_door_prefix(tokenizer.encode(plan, V), V)
+            assert tuple(line[: len(prefix)]) == prefix
+
+        (corpus_dir / "splits.json").unlink()
+        assert main([*argv, "--split", "test"]) == 2
+        assert "no splits.json" in capsys.readouterr().err
