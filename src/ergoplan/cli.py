@@ -287,19 +287,18 @@ def _cmd_guidance_check(args):
         rows[np.arange(len(seq)), np.array(seq.tokens)] = 1.0
     positions = guidance.eligible_positions(seq, rows, vocab, cfg)
     breakdown = ergoloss.ergonomic_loss(plan)
-    entries = []
-    for pos, room_idx, vert_idx, axis in positions:
-        v_bar = guidance.expected_token(rows[pos], cfg)
-        entries.append(
-            {
-                "position": pos,
-                "room": room_idx,
-                "vertex": vert_idx,
-                "axis": "xy"[axis],
-                "v_bar": v_bar,
-                "cell_value": v_bar * plan.resolution,
-            }
-        )
+    v_bars, _ = guidance.collapse(rows[[pos for pos, *_ in positions]], cfg)
+    entries = [
+        {
+            "position": pos,
+            "room": room_idx,
+            "vertex": vert_idx,
+            "axis": "xy"[axis],
+            "v_bar": v_bar,
+            "cell_value": v_bar * plan.resolution,
+        }
+        for (pos, room_idx, vert_idx, axis), v_bar in zip(positions, v_bars.tolist())
+    ]
     payload = {
         "sequence_length": len(seq),
         "eligible": entries,

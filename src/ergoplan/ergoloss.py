@@ -6,9 +6,11 @@ distances, and "nearest room" selections become softmin combinations of
 those soft distances. Every operation here also has a closed-form reverse
 pass, so the loss is exactly differentiable w.r.t. vertex coordinates.
 
-Evaluation is batched over "variants" of one plan (coordinate arrays that
-differ in a few entries), which keeps teacher-forced per-position loss
-evaluation and finite-difference checking cheap.
+A PairTable scores every rule pair of a plan once. Teacher-forced
+guidance then asks for many "variants" of that plan, each with one vertex
+coordinate replaced; substituted_losses re-scores only the pairs that
+involve the replaced room, batched across variants by vertex-count shape,
+and redoes the cheap softmin combines.
 """
 
 import json
@@ -178,122 +180,113 @@ def soft_distance(a, b, params=None, resolution=None):
     return float(d[0])
 
 
-def _term_values_and_grads(vplan, room_coords, door, beta):
-    """Evaluate every rule's soft loss term on variant coordinate arrays.
+class PairTable:
+    """One plan's rule pairs and their soft distances at its own coordinates.
 
-    A term is the mean, over its client rooms, of the softmin combination of
-    the client's soft distances to the rule's targets; the door is a single
-    target. room_coords: list of (V, n_i, 2) arrays in unit space; door:
-    (V, 2, 2). Returns ({term: (V,) or None}, {term: {room_index: (V, n_i, 2)}}).
+    Built once per (plan, SoftParams). pairs lists every (client, target)
+    pair in rule-loop order, the target len(rooms) being the door; base
+    holds their soft distances; values and total are the per-term losses
+    and their mean (None when nothing applies). Pairs are grouped by their
+    (client, target) vertex counts, so that one kernel call scores a group.
     """
-    door_index = len(room_coords)
-    coords = room_coords + [door]
-    values = {}
-    grads = {}
-    for term, client_kinds, target_kinds, _charged in RULES:
-        clients = vplan.indices(client_kinds)
-        targets = [door_index] if target_kinds == DOOR else vplan.indices(target_kinds)
-        if not clients or not targets:
-            values[term] = None
-            continue
-        acc = {}
-        client_vals = []
-        scale = 1.0 / len(clients)
-        for ci in clients:
-            pairs = [_pair_soft_distance(coords[ci], coords[ti], beta) for ti in targets]
-            combined, dstack = _soft_combine(np.stack([d for d, _, _ in pairs], axis=1), beta)
-            client_vals.append(combined)
-            for j, (ti, (_, dc, dt)) in enumerate(zip(targets, pairs)):
-                w = dstack[:, j, None, None] * scale
-                acc[ci] = acc.get(ci, 0.0) + w * dc
-                if ti != door_index:
-                    acc[ti] = acc.get(ti, 0.0) + w * dt
-        values[term] = np.mean(client_vals, axis=0)
-        grads[term] = acc
-    return values, grads
+
+    def __init__(self, plan, params=None):
+        self.params = params or SoftParams()
+        vplan = _as_vertex_plan(plan)
+        self.factor = self.params.unit_factor(vplan.resolution)
+        rooms = len(vplan.room_coords)
+        # rooms, then the door, in the loss unit space
+        self.coords = [c * self.factor for c in vplan.room_coords] + [vplan.door * self.factor]
+        # (term, clients, (clients, targets) pair indices) per applicable rule
+        self.rules = []
+        self.pairs = []
+        for term, client_kinds, target_kinds, _charged in RULES:
+            clients = vplan.indices(client_kinds)
+            targets = [rooms] if target_kinds == DOOR else vplan.indices(target_kinds)
+            if not clients or not targets:
+                continue
+            cols = len(self.pairs) + np.arange(len(clients) * len(targets))
+            self.rules.append((term, clients, cols.reshape(len(clients), len(targets))))
+            self.pairs.extend((ci, ti) for ci in clients for ti in targets)
+        # side[r, k]: 1 when room r is pair k's client, 2 when its target
+        self.side = np.zeros((rooms, len(self.pairs)), dtype=np.int8)
+        shapes = {}
+        for k, (ci, ti) in enumerate(self.pairs):
+            self.side[ci, k] = 1
+            if ti < rooms:
+                self.side[ti, k] = 2
+            shapes.setdefault((len(self.coords[ci]), len(self.coords[ti])), []).append(k)
+        self.groups = [
+            (
+                np.array(ks),
+                np.stack([self.coords[self.pairs[k][0]] for k in ks]),
+                np.stack([self.coords[self.pairs[k][1]] for k in ks]),
+            )
+            for ks in shapes.values()
+        ]
+        self.base = np.empty(len(self.pairs))
+        for ks, p, q in self.groups:
+            self.base[ks] = _pair_soft_distance(p, q, self.params.beta)[0]
+        values, total, _ = self._combine(self.base[None])
+        self.values = {t: None if v is None else float(v[0]) for t, v in values.items()}
+        self.total = None if total is None else float(total[0])
+
+    def _combine(self, dist):
+        """Per-term values (V,) and their mean over pair distances dist
+        (V, pairs), plus each term's softmin derivatives (clients, V,
+        targets). All clients of a rule share its targets, so one softmin
+        call combines every client's row of every variant."""
+        values = dict.fromkeys(TERMS)
+        weights = {}
+        n_variants = len(dist)
+        for term, clients, cols in self.rules:
+            rows = dist[:, cols].swapaxes(0, 1).reshape(-1, cols.shape[1])
+            combined, dstack = _soft_combine(rows, self.params.beta)
+            values[term] = np.mean(combined.reshape(len(clients), n_variants), axis=0)
+            weights[term] = dstack.reshape(len(clients), n_variants, -1)
+        if not self.rules:
+            return values, None, weights
+        total = sum(values[t] for t, _, _ in self.rules) / len(self.rules)
+        return values, total, weights
 
 
-def _evaluate(vplan, params, variants=None):
-    """Shared core: loss values (V,) per term and total, plus gradients in
-    cell units as a list of (V, n_i, 2) arrays.
-
-    `variants` is an optional list of (room_index, vertex_index, axis, value)
-    single-coordinate substitutions, one per variant row.
-    """
-    factor = params.unit_factor(vplan.resolution)
-    n_variants = 1 if variants is None else len(variants)
-    room_coords = []
-    for coords in vplan.room_coords:
-        tiled = np.repeat(coords[None] * factor, n_variants, axis=0)
-        room_coords.append(tiled)
-    if variants is not None:
-        for v, (ri, vi, axis, value) in enumerate(variants):
-            room_coords[ri][v, vi, axis] = value * factor
-    door = np.repeat(vplan.door[None] * factor, n_variants, axis=0)
-
-    values, term_grads = _term_values_and_grads(vplan, room_coords, door, params.beta)
-    applicable = [t for t in TERMS if values[t] is not None]
-    if not applicable:
-        return values, None, None
-    total = sum(values[t] for t in applicable) / len(applicable)
-    grads = [np.zeros((n_variants,) + c.shape, dtype=float) for c in vplan.room_coords]
-    for term in applicable:
-        for ri, g in term_grads[term].items():
-            grads[ri] += g / len(applicable)
-    # chain back to cell units: d(unit coord)/d(cell coord) = factor
-    grads = [g * factor for g in grads]
-    return values, total, grads
-
-
-def _scalar(value):
-    return None if value is None else float(value[0])
+def _as_table(plan, params):
+    if isinstance(plan, PairTable):
+        if params is not None and params != plan.params:
+            raise ValueError("the pair table was built with other soft parameters")
+        return plan
+    return PairTable(plan, params)
 
 
 def loss_entrances(plan, params=None):
     """Mean soft distance from each entrance room to the door; None if the
     plan has no entrance."""
-    return _term_scalar(plan, params, "entrances")
+    return _as_table(plan, params).values["entrances"]
 
 
 def loss_kitchens(plan, params=None):
     """Mean, over entrance/dining rooms, of the soft minimum of their soft
     distances to the kitchens; None unless both sides exist."""
-    return _term_scalar(plan, params, "kitchens")
+    return _as_table(plan, params).values["kitchens"]
 
 
 def loss_bathrooms(plan, params=None):
     """As loss_kitchens, with entrance/living/master/second rooms as clients
     and bathrooms as targets."""
-    return _term_scalar(plan, params, "bathrooms")
+    return _as_table(plan, params).values["bathrooms"]
 
 
 def loss_balconies(plan, params=None):
     """Mean, over balconies, of the soft minimum of soft distances to the
     preferred neighbor rooms; None unless both sides exist."""
-    return _term_scalar(plan, params, "balconies")
-
-
-def _term_scalar(plan, params, term):
-    params = params or SoftParams()
-    vplan = _as_vertex_plan(plan)
-    values, _, _ = _evaluate(vplan, params)
-    return _scalar(values[term])
+    return _as_table(plan, params).values["balconies"]
 
 
 def ergonomic_loss(plan, params=None):
     """LossBreakdown over the four terms; total is the mean of the applicable
     ones (None when none applies)."""
-    params = params or SoftParams()
-    vplan = _as_vertex_plan(plan)
-    values, total, _ = _evaluate(vplan, params)
-    return LossBreakdown(
-        entrances=_scalar(values["entrances"]),
-        kitchens=_scalar(values["kitchens"]),
-        bathrooms=_scalar(values["bathrooms"]),
-        balconies=_scalar(values["balconies"]),
-        total=_scalar(total) if total is not None else None,
-        space=params.coordinate_space,
-    )
+    table = _as_table(plan, params)
+    return LossBreakdown(**table.values, total=table.total, space=table.params.coordinate_space)
 
 
 def ergonomic_loss_grad(plan, params=None):
@@ -303,39 +296,64 @@ def ergonomic_loss_grad(plan, params=None):
     room's vertex array; rooms outside every applicable term get zeros.
     Exactly coincident vertex pairs use a zero direction subgradient.
     """
-    params = params or SoftParams()
     vplan = _as_vertex_plan(plan)
-    values, total, grads = _evaluate(vplan, params)
-    breakdown = LossBreakdown(
-        entrances=_scalar(values["entrances"]),
-        kitchens=_scalar(values["kitchens"]),
-        bathrooms=_scalar(values["bathrooms"]),
-        balconies=_scalar(values["balconies"]),
-        total=_scalar(total) if total is not None else None,
-        space=params.coordinate_space,
-    )
-    if grads is None:
-        vertex_grads = [np.zeros_like(c) for c in vplan.room_coords]
-    else:
-        vertex_grads = [g[0] for g in grads]
-    return breakdown, vertex_grads
+    table = PairTable(vplan, params)
+    grads = [np.zeros_like(c) for c in vplan.room_coords]
+    if table.total is not None:
+        # each coordinate substituted by itself: d total / d that coordinate
+        where = [(ri, vi, axis) for ri, c in enumerate(grads) for vi, axis in np.ndindex(c.shape)]
+        subs = [(ri, vi, axis, vplan.room_coords[ri][vi, axis]) for ri, vi, axis in where]
+        for (ri, vi, axis), d in zip(where, substituted_losses(table, subs)[1]):
+            grads[ri][vi, axis] = d
+    return ergonomic_loss(table), grads
 
 
 def substituted_losses(plan, substitutions, params=None):
     """Loss of the plan with one vertex coordinate replaced, for a batch of
     substitutions (room_index, vertex_index, axis, cell_value).
 
-    Returns (losses (V,), dloss/dvalue (V,)); both None-free only when some
-    term applies. The derivative is taken w.r.t. the substituted cell value.
+    `plan` may be a PairTable, which then carries the soft parameters. Only
+    the pairs that involve a substitution's room are re-scored: one kernel
+    call per vertex-count group, over every substitution at once.
+
+    Returns (losses (V,), dloss/dvalue (V,)); both None when no term
+    applies. The derivative is taken w.r.t. the substituted cell value.
     """
-    params = params or SoftParams()
-    vplan = _as_vertex_plan(plan)
-    if not substitutions:
+    table = _as_table(plan, params)
+    if not len(substitutions):
         raise EmptyInput("no substitutions given")
-    values, total, grads = _evaluate(vplan, params, variants=list(substitutions))
-    if total is None:
+    if table.total is None:
         return None, None
-    dvalue = np.empty(len(substitutions), dtype=float)
-    for v, (ri, vi, axis, _value) in enumerate(substitutions):
-        dvalue[v] = grads[ri][v, vi, axis]
-    return np.asarray(total, dtype=float), dvalue
+    subs = np.asarray(substitutions, dtype=float)
+    rooms, verts, axes = subs[:, :3].astype(np.intp).T
+    values = subs[:, 3] * table.factor
+    n_variants = len(subs)
+    dist = np.repeat(table.base[None], n_variants, axis=0)
+    # d pair distance / d substituted coordinate; zero for untouched pairs
+    deriv = np.zeros_like(dist)
+    side = table.side[rooms]
+    for ks, p_base, q_base in table.groups:
+        var, local = np.nonzero(side[:, ks])
+        if not len(var):
+            continue
+        touched = ks[local]
+        client = side[var, touched] == 1
+        p, q = p_base[local], q_base[local]
+        c, t = np.nonzero(client)[0], np.nonzero(~client)[0]
+        vc, vt = var[c], var[t]
+        p[c, verts[vc], axes[vc]] = values[vc]
+        q[t, verts[vt], axes[vt]] = values[vt]
+        d, dp, dq = _pair_soft_distance(p, q, table.params.beta)
+        dist[var, touched] = d
+        deriv[vc, touched[c]] = dp[c, verts[vc], axes[vc]]
+        deriv[vt, touched[t]] = dq[t, verts[vt], axes[vt]]
+    _, total, weights = table._combine(dist)
+    grad = np.zeros(n_variants)
+    for term, clients, cols in table.rules:
+        acc = 0.0
+        scale = 1.0 / len(clients)
+        for client_cols, dstack in zip(cols, weights[term]):
+            for j, k in enumerate(client_cols):
+                acc = acc + dstack[:, j] * scale * deriv[:, k]
+        grad += acc / len(table.rules)
+    return total, grad * table.factor

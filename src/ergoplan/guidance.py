@@ -4,11 +4,13 @@ For teacher-forced positions whose ground-truth token is a room vertex
 coordinate and whose predicted argmax is a coordinate token, the predicted
 distribution is collapsed to a continuous expected value (a Gaussian window
 around the argmax), substituted into the ground-truth plan, and scored with
-the differentiable ergonomic loss. The resulting per-position losses are
-averaged and chained back to the probability rows, giving the model a
-geometric training signal alongside cross-entropy.
+the differentiable ergonomic loss. All eligible rows of a sample collapse
+in one array operation. The resulting per-position losses are averaged and
+chained back to the probability rows, giving the model a geometric training
+signal alongside cross-entropy.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,24 +46,42 @@ class GuidanceConfig:
         return self.sigma if self.sigma is not None else 1.0 / self.resolution
 
 
-def _coordinate_weights(row, cfg):
-    """Gaussian window around the argmax over coordinate ids only.
-
-    Returns (argmax_id, weights over ids 0..resolution-1). Raises
-    ArgmaxNotCoordinate when the row's argmax is not a coordinate token.
-    """
-    row = np.asarray(row, dtype=float)
-    top = int(np.argmax(row))  # ties resolve to the lowest id
-    if top >= cfg.resolution:
-        raise ArgmaxNotCoordinate(f"argmax id {top} is not a coordinate token")
-    values = np.arange(cfg.resolution) / cfg.resolution
-    center = top / cfg.resolution
-    sigma = cfg.effective_sigma
-    weights = np.exp(-0.5 * ((values - center) / sigma) ** 2)
+@functools.cache
+def _gaussian_windows(cfg):
+    """Read-only (resolution, resolution) table: row c is the Gaussian
+    window over coordinate ids centred on id c, truncated to +-window."""
+    ids = np.arange(cfg.resolution)
+    values = ids / cfg.resolution
+    center = values[:, None]
+    weights = np.exp(-0.5 * ((values - center) / cfg.effective_sigma) ** 2)
     if cfg.window is not None:
-        ids = np.arange(cfg.resolution)
-        weights = np.where(np.abs(ids - top) <= cfg.window, weights, 0.0)
-    return top, values, weights
+        weights = np.where(np.abs(ids - ids[:, None]) <= cfg.window, weights, 0.0)
+    weights.flags.writeable = False
+    return weights
+
+
+def collapse(rows, cfg):
+    """Expected coordinates of many probability rows at once.
+
+    rows: (E, vocab). Each row's distribution is collapsed to the
+    probability- and Gaussian-weighted mean of the coordinate values around
+    its argmax (ties resolve to the lowest id). Returns (v_bar (E,) in
+    [0, 1), d v_bar / d row (E, vocab), zero outside coordinate ids).
+    Raises ArgmaxNotCoordinate when some row's argmax is not a coordinate.
+    """
+    rows = np.asarray(rows, dtype=float)
+    top = rows.argmax(axis=1)
+    if (top >= cfg.resolution).any():
+        bad = int(top[top >= cfg.resolution][0])
+        raise ArgmaxNotCoordinate(f"argmax id {bad} is not a coordinate token")
+    values = np.arange(cfg.resolution) / cfg.resolution
+    weights = _gaussian_windows(cfg)[top]
+    mass = weights * rows[:, : cfg.resolution]
+    denom = mass.sum(axis=1)
+    v_bar = (mass * values).sum(axis=1) / denom
+    grad = np.zeros_like(rows)
+    grad[:, : cfg.resolution] = weights * (values - v_bar[:, None]) / denom[:, None]
+    return v_bar, grad
 
 
 def expected_token(row, cfg):
@@ -71,16 +91,9 @@ def expected_token(row, cfg):
 
 
 def expected_token_grad(row, cfg):
-    """(v_bar, d v_bar / d row) with the gradient zero outside coordinate ids."""
-    row = np.asarray(row, dtype=float)
-    _, values, weights = _coordinate_weights(row, cfg)
-    probs = row[: cfg.resolution]
-    mass = weights * probs
-    denom = mass.sum()
-    v_bar = float((mass * values).sum() / denom)
-    grad = np.zeros_like(row)
-    grad[: cfg.resolution] = weights * (values - v_bar) / denom
-    return v_bar, grad
+    """(v_bar, d v_bar / d row) of one row; see collapse."""
+    v_bar, grad = collapse(np.asarray(row)[None], cfg)
+    return float(v_bar[0]), grad[0]
 
 
 @dataclass
@@ -88,35 +101,41 @@ class PositionalLoss:
     """Mean substituted plan loss and its gradient per eligible row."""
 
     loss: float
-    row_grads: dict  # position -> (vocab,) array, d loss / d row
-    eligible_positions: list
+    grads: np.ndarray  # (E, vocab): d loss / d row, one per eligible position
+    eligible_positions: list  # E of (position, room, vertex, axis)
+
+    @property
+    def positions(self):
+        return np.array([pos for pos, *_ in self.eligible_positions])
+
+    @property
+    def row_grads(self):
+        """position -> (vocab,) array, d loss / d row."""
+        return dict(zip(self.positions.tolist(), self.grads))
 
 
 def eligible_positions(gt_seq, prob_rows, vocab, cfg):
     """Positions where the ground truth is a room vertex coordinate and the
     prediction's argmax is a coordinate token."""
-    out = []
-    coords = tokenizer.room_coordinate_positions(gt_seq, vocab)
-    for pos, room_idx, vert_idx, axis in coords:
-        if pos >= len(prob_rows):
-            continue
-        row = prob_rows[pos]
-        if int(np.argmax(row)) < cfg.resolution:
-            out.append((pos, room_idx, vert_idx, axis))
-    return out
+    top = np.argmax(prob_rows, axis=-1)
+    return [
+        (pos, room_idx, vert_idx, axis)
+        for pos, room_idx, vert_idx, axis in tokenizer.room_coordinate_positions(gt_seq, vocab)
+        if pos < len(top) and top[pos] < cfg.resolution
+    ]
 
 
 def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None, rng=None):
     """Teacher-forced ergonomic loss through expected-token substitution.
 
-    prob_rows[t] must be the model's distribution for the token at position
-    t (predicted from the prefix before t). Each eligible position is
-    substituted independently and the losses averaged; with
-    cfg.substitute_all false, a single random eligible position is used
-    instead (cheaper, noisier). Raises NoEligiblePositions when no position
-    qualifies or no loss term applies to the plan.
+    gt_plan is a FloorPlan, a VertexPlan or an ergoloss.PairTable (built
+    with `params`, when given). prob_rows[t] must be the model's
+    distribution for the token at position t (predicted from the prefix
+    before t). Each eligible position is substituted independently and the
+    losses averaged; with cfg.substitute_all false, a single random eligible
+    position is used instead (cheaper, noisier). Raises NoEligiblePositions
+    when no position qualifies or no loss term applies to the plan.
     """
-    params = params or ergoloss.SoftParams()
     vocab = tokenizer.Vocabulary(cfg.resolution)
     eligible = eligible_positions(gt_seq, prob_rows, vocab, cfg)
     if not eligible:
@@ -125,25 +144,16 @@ def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None, rng=None)
         rng = rng or np.random.default_rng()
         eligible = [eligible[int(rng.integers(len(eligible)))]]
 
-    vplan = ergoloss.VertexPlan.from_plan(gt_plan)
-    substitutions = []
-    v_grads = []
-    for pos, room_idx, vert_idx, axis in eligible:
-        v_bar, dv_bar = expected_token_grad(prob_rows[pos], cfg)
-        substitutions.append((room_idx, vert_idx, axis, v_bar * cfg.resolution))
-        v_grads.append(dv_bar)
-    losses, dvalues = ergoloss.substituted_losses(vplan, substitutions, params)
+    positions, rooms, verts, axes = np.array(eligible).T
+    v_bar, dv_bar = collapse(np.asarray(prob_rows)[positions], cfg)
+    substitutions = np.column_stack([rooms, verts, axes, v_bar * cfg.resolution])
+    losses, dvalues = ergoloss.substituted_losses(gt_plan, substitutions, params)
     if losses is None:
         raise NoEligiblePositions("no applicable loss term for this plan")
-    n = len(eligible)
-    row_grads = {}
-    for i, (pos, *_rest) in enumerate(eligible):
-        # chain: mean over positions, cell value = v_bar * resolution
-        row_grads[pos] = (dvalues[i] / n) * cfg.resolution * v_grads[i]
+    # chain: mean over positions, cell value = v_bar * resolution
+    scale = (dvalues / len(eligible)) * cfg.resolution
     return PositionalLoss(
-        loss=float(losses.mean()),
-        row_grads=row_grads,
-        eligible_positions=eligible,
+        loss=float(losses.mean()), grads=scale[:, None] * dv_bar, eligible_positions=eligible
     )
 
 

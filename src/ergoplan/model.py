@@ -517,7 +517,7 @@ class TrainState:
     adam_v: dict
     step: int
     rng: np.random.Generator
-    alpha_cache: dict = field(default_factory=dict)
+    alpha_cache: dict = field(default_factory=dict)  # (plan, SoftParams) -> PairTable
 
 
 def init_train_state(model_cfg, train_cfg):
@@ -545,16 +545,22 @@ def _pad_batch(batch, vocab, max_vertex_index):
     return tokens, xy, vert
 
 
-def _sample_alpha(plan, soft_params, guidance_cfg, cache, floor=0.0):
-    # keyed on the plan's value (FloorPlan is frozen and hashable): the cache
-    # outlives the sample list, and an id() could be recycled by another plan
-    if plan not in cache:
-        breakdown = ergoloss.ergonomic_loss(plan, soft_params)
-        if breakdown.total is None:
-            cache[plan] = 0.0  # no applicable term: fall back to cross-entropy
-        else:
-            cache[plan] = guidance.alpha(breakdown.total, guidance_cfg)
-    value = cache[plan]
+def _plan_table(plan, soft_params, cache):
+    # keyed on the plan's value (FloorPlan is frozen and hashable) and the
+    # soft parameters the table was scored with: the cache outlives the
+    # sample list, an id() could be recycled by another plan, and one state
+    # may be stepped under several configurations
+    key = (plan, soft_params)
+    table = cache.get(key)
+    if table is None:
+        table = cache[key] = ergoloss.PairTable(plan, soft_params)
+    return table
+
+
+def _sample_alpha(table, guidance_cfg, floor=0.0):
+    if table.total is None:
+        return 0.0  # no applicable term: fall back to cross-entropy
+    value = guidance.alpha(table.total, guidance_cfg)
     return value if value >= floor else 0.0
 
 
@@ -584,7 +590,12 @@ def batch_loss_and_grads(
     b, t = tokens.shape
 
     logits, cache = forward_logits(params, model_cfg, tokens, xy, vert, need_cache=True)
-    probs = _softmax(logits.astype(np.float64))
+    # rows[i, t] is the distribution for token t, the layout guidance reads
+    # (row 0 has no prediction and stays zero); probs[i, t] predicts t + 1
+    rows = np.zeros((b, t + 1, logits.shape[-1]))
+    rows[:, 1:] = logits
+    rows[:, 1:] = _softmax(rows[:, 1:])  # no copy: _softmax works in place
+    probs = rows[:, 1:]
     targets = tokens[:, 1:]
     valid = targets != vocab.pad
 
@@ -601,9 +612,8 @@ def batch_loss_and_grads(
 
         a = 0.0
         if train_cfg.guided:
-            a = _sample_alpha(
-                plan, soft_params, guidance_cfg, alpha_cache, train_cfg.alpha_floor
-            )
+            table = _plan_table(plan, soft_params, alpha_cache)
+            a = _sample_alpha(table, guidance_cfg, train_cfg.alpha_floor)
         alphas[i] = a
 
         dce = p.copy()
@@ -611,21 +621,22 @@ def batch_loss_and_grads(
         dlogits[i, pos_idx] = (1.0 - a) / (b * n_valid) * dce
 
         if a > 0.0:
-            rows = np.zeros((len(seq), model_cfg.vocab_size))
-            rows[1 : len(seq)] = probs[i, : len(seq) - 1]
             try:
                 result = guidance.positional_ergo_loss(
-                    plan, seq, rows, guidance_cfg, soft_params, rng=rng
+                    table, seq, rows[i, : len(seq)], guidance_cfg, soft_params, rng=rng
                 )
             except NoEligiblePositions:
                 alphas[i] = 0.0
                 dlogits[i, pos_idx] = 1.0 / (b * n_valid) * dce
                 continue
             ergo_per_sample[i] = result.loss
-            for pos, g_row in result.row_grads.items():
-                row = probs[i, pos - 1]
-                dz = row * (g_row - (g_row * row).sum())
-                dlogits[i, pos - 1] += (a / b) * dz
+            # softmax chain rule for all eligible rows at once; the logits
+            # for the token at position t sit at t - 1
+            at = result.positions
+            p_rows = rows[i, at]
+            g = result.grads
+            dz = p_rows * (g - (g * p_rows).sum(axis=1, keepdims=True))
+            dlogits[i, at - 1] += (a / b) * dz
 
     have_ergo = ~np.isnan(ergo_per_sample)
     ergo_mean = float(ergo_per_sample[have_ergo].mean()) if have_ergo.any() else 0.0

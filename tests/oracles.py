@@ -6,11 +6,15 @@ segment projection, areas via unit-cell rasterization instead of sweeps,
 assignments via exhaustive enumeration, gradients via central differences.
 
 The code at the end is the exception. `_term_values_and_grads` is the
-package's earlier soft-loss evaluation with one block per term, and the
-transformer kernels are its earlier allocate-per-operation forward,
-backward and AdamW code, both kept unchanged. The package now does the
-same floating-point operations in the same order (one loop over the rule
-table; buffers it owns), so its results must equal these bit for bit, not
+package's earlier soft-loss evaluation with one block per term;
+`evaluate` is the later tiled evaluation that re-scores every rule pair
+for every substitution, with `expected_token_grad`, `positional_ergo_loss`
+and `batch_loss_and_grads` its per-row guidance; the transformer kernels
+are the earlier allocate-per-operation forward, backward and AdamW code.
+All are kept unchanged. The package now does the same floating-point
+operations in the same order (one loop over the rule table; a per-plan
+pair table with only the touched pairs re-scored; all rows collapsed at
+once; buffers it owns), so its results must equal these bit for bit, not
 merely to a tolerance. Last, `generate_batch` is the package's earlier
 greedy decoder, which re-runs the full forward pass for every token; the
 key/value-cached decoder must choose the same tokens.
@@ -18,7 +22,8 @@ key/value-cached decoder must choose the same tokens.
 
 import numpy as np
 
-from ergoplan import model, tokenizer
+from ergoplan import guidance, model, tokenizer
+from ergoplan.ergocost import DOOR, RULES, TERMS
 from ergoplan.ergoloss import (
     SoftParams,
     VertexPlan,
@@ -26,7 +31,14 @@ from ergoplan.ergoloss import (
     _soft_combine,
     ergonomic_loss,
 )
-from ergoplan.errors import ContextOverflow, NonFiniteLoss, OutOfRange
+from ergoplan.errors import (
+    ArgmaxNotCoordinate,
+    ContextOverflow,
+    EmptyInput,
+    NoEligiblePositions,
+    NonFiniteLoss,
+    OutOfRange,
+)
 from ergoplan.plan import RoomType
 
 KITCHEN_CLIENTS = (RoomType.Entrance, RoomType.DiningRoom)
@@ -264,6 +276,232 @@ def _term_values_and_grads(vplan, room_coords, door, beta):
         values["balconies"] = None
 
     return values, grads
+
+
+# --- earlier tiled soft-loss evaluation and per-row guidance --------------
+#
+# The package's soft loss once tiled every room V times and re-scored every
+# rule pair for every variant; guidance collapsed one row at a time and
+# chained each row back to the logits in its own step. The incremental,
+# batched path must give the same floats.
+
+
+def _rule_term_values_and_grads(vplan, room_coords, door, beta):
+    """Evaluate every rule's soft loss term on variant coordinate arrays.
+
+    A term is the mean, over its client rooms, of the softmin combination of
+    the client's soft distances to the rule's targets; the door is a single
+    target. room_coords: list of (V, n_i, 2) arrays in unit space; door:
+    (V, 2, 2). Returns ({term: (V,) or None}, {term: {room_index: (V, n_i, 2)}}).
+    """
+    door_index = len(room_coords)
+    coords = room_coords + [door]
+    values = {}
+    grads = {}
+    for term, client_kinds, target_kinds, _charged in RULES:
+        clients = vplan.indices(client_kinds)
+        targets = [door_index] if target_kinds == DOOR else vplan.indices(target_kinds)
+        if not clients or not targets:
+            values[term] = None
+            continue
+        acc = {}
+        client_vals = []
+        scale = 1.0 / len(clients)
+        for ci in clients:
+            pairs = [_pair_soft_distance(coords[ci], coords[ti], beta) for ti in targets]
+            combined, dstack = _soft_combine(np.stack([d for d, _, _ in pairs], axis=1), beta)
+            client_vals.append(combined)
+            for j, (ti, (_, dc, dt)) in enumerate(zip(targets, pairs)):
+                w = dstack[:, j, None, None] * scale
+                acc[ci] = acc.get(ci, 0.0) + w * dc
+                if ti != door_index:
+                    acc[ti] = acc.get(ti, 0.0) + w * dt
+        values[term] = np.mean(client_vals, axis=0)
+        grads[term] = acc
+    return values, grads
+
+
+def evaluate(vplan, params, variants=None, terms=_rule_term_values_and_grads):
+    """Shared core: loss values (V,) per term and total, plus gradients in
+    cell units as a list of (V, n_i, 2) arrays.
+
+    `variants` is an optional list of (room_index, vertex_index, axis, value)
+    single-coordinate substitutions, one per variant row. `terms` is the
+    term evaluation: the rule-table loop or the per-term blocks above.
+    """
+    factor = params.unit_factor(vplan.resolution)
+    n_variants = 1 if variants is None else len(variants)
+    room_coords = []
+    for coords in vplan.room_coords:
+        tiled = np.repeat(coords[None] * factor, n_variants, axis=0)
+        room_coords.append(tiled)
+    if variants is not None:
+        for v, (ri, vi, axis, value) in enumerate(variants):
+            room_coords[ri][v, vi, axis] = value * factor
+    door = np.repeat(vplan.door[None] * factor, n_variants, axis=0)
+
+    values, term_grads = terms(vplan, room_coords, door, params.beta)
+    applicable = [t for t in TERMS if values[t] is not None]
+    if not applicable:
+        return values, None, None
+    total = sum(values[t] for t in applicable) / len(applicable)
+    grads = [np.zeros((n_variants,) + c.shape, dtype=float) for c in vplan.room_coords]
+    for term in applicable:
+        for ri, g in term_grads[term].items():
+            grads[ri] += g / len(applicable)
+    # chain back to cell units: d(unit coord)/d(cell coord) = factor
+    grads = [g * factor for g in grads]
+    return values, total, grads
+
+
+def substituted_losses(plan, substitutions, params=None):
+    """Loss of the plan with one vertex coordinate replaced, for a batch of
+    substitutions (room_index, vertex_index, axis, cell_value)."""
+    params = params or SoftParams()
+    vplan = plan if isinstance(plan, VertexPlan) else VertexPlan.from_plan(plan)
+    if not substitutions:
+        raise EmptyInput("no substitutions given")
+    values, total, grads = evaluate(vplan, params, variants=list(substitutions))
+    if total is None:
+        return None, None
+    dvalue = np.empty(len(substitutions), dtype=float)
+    for v, (ri, vi, axis, _value) in enumerate(substitutions):
+        dvalue[v] = grads[ri][v, vi, axis]
+    return np.asarray(total, dtype=float), dvalue
+
+
+def _coordinate_weights(row, cfg):
+    """Gaussian window around the argmax over coordinate ids only."""
+    row = np.asarray(row, dtype=float)
+    top = int(np.argmax(row))  # ties resolve to the lowest id
+    if top >= cfg.resolution:
+        raise ArgmaxNotCoordinate(f"argmax id {top} is not a coordinate token")
+    values = np.arange(cfg.resolution) / cfg.resolution
+    center = top / cfg.resolution
+    sigma = cfg.effective_sigma
+    weights = np.exp(-0.5 * ((values - center) / sigma) ** 2)
+    if cfg.window is not None:
+        ids = np.arange(cfg.resolution)
+        weights = np.where(np.abs(ids - top) <= cfg.window, weights, 0.0)
+    return top, values, weights
+
+
+def expected_token_grad(row, cfg):
+    """(v_bar, d v_bar / d row) with the gradient zero outside coordinate ids."""
+    row = np.asarray(row, dtype=float)
+    _, values, weights = _coordinate_weights(row, cfg)
+    probs = row[: cfg.resolution]
+    mass = weights * probs
+    denom = mass.sum()
+    v_bar = float((mass * values).sum() / denom)
+    grad = np.zeros_like(row)
+    grad[: cfg.resolution] = weights * (values - v_bar) / denom
+    return v_bar, grad
+
+
+def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None, rng=None):
+    """Per-row expected-token substitution; returns (mean loss, {position:
+    d loss / d row}, eligible positions)."""
+    params = params or SoftParams()
+    vocab = tokenizer.Vocabulary(cfg.resolution)
+    eligible = []
+    for pos, room_idx, vert_idx, axis in tokenizer.room_coordinate_positions(gt_seq, vocab):
+        if pos < len(prob_rows) and int(np.argmax(prob_rows[pos])) < cfg.resolution:
+            eligible.append((pos, room_idx, vert_idx, axis))
+    if not eligible:
+        raise NoEligiblePositions("no substitutable coordinate positions")
+    if not cfg.substitute_all:
+        rng = rng or np.random.default_rng()
+        eligible = [eligible[int(rng.integers(len(eligible)))]]
+
+    vplan = VertexPlan.from_plan(gt_plan)
+    substitutions = []
+    v_grads = []
+    for pos, room_idx, vert_idx, axis in eligible:
+        v_bar, dv_bar = expected_token_grad(prob_rows[pos], cfg)
+        substitutions.append((room_idx, vert_idx, axis, v_bar * cfg.resolution))
+        v_grads.append(dv_bar)
+    losses, dvalues = substituted_losses(vplan, substitutions, params)
+    if losses is None:
+        raise NoEligiblePositions("no applicable loss term for this plan")
+    n = len(eligible)
+    row_grads = {}
+    for i, (pos, *_rest) in enumerate(eligible):
+        # chain: mean over positions, cell value = v_bar * resolution
+        row_grads[pos] = (dvalues[i] / n) * cfg.resolution * v_grads[i]
+    return float(losses.mean()), row_grads, eligible
+
+
+def batch_loss_and_grads(
+    batch, params, model_cfg, train_cfg, guidance_cfg=None, soft_params=None, rng=None
+):
+    """The earlier mixed loss and gradient: alpha from a full soft-loss
+    evaluation per plan, guidance on a zero-padded copy of each sample's
+    rows, and one chain-rule step per eligible row."""
+    guidance_cfg = guidance_cfg or guidance.GuidanceConfig()
+    soft_params = soft_params or SoftParams()
+    vocab = tokenizer.Vocabulary(guidance_cfg.resolution)
+    tokens, xy, vert = model._pad_batch(batch, vocab, model_cfg.max_vertex_index)
+    b, t = tokens.shape
+
+    logits, cache = model.forward_logits(params, model_cfg, tokens, xy, vert, need_cache=True)
+    probs = model._softmax(logits.astype(np.float64))
+    targets = tokens[:, 1:]
+    valid = targets != vocab.pad
+
+    dlogits = np.zeros_like(probs)
+    ce_per_sample = np.zeros(b)
+    ergo_per_sample = np.full(b, np.nan)
+    alphas = np.zeros(b)
+    for i, (seq, plan) in enumerate(batch):
+        n_valid = int(valid[i].sum())
+        pos_idx = np.nonzero(valid[i])[0]
+        p = probs[i, pos_idx]
+        tgt = targets[i, pos_idx]
+        ce_per_sample[i] = -np.log(np.maximum(p[np.arange(len(tgt)), tgt], 1e-300)).mean()
+
+        a = 0.0
+        if train_cfg.guided:
+            _, total, _ = evaluate(VertexPlan.from_plan(plan), soft_params)
+            a = 0.0 if total is None else guidance.alpha(float(total[0]), guidance_cfg)
+            a = a if a >= train_cfg.alpha_floor else 0.0
+        alphas[i] = a
+
+        dce = p.copy()
+        dce[np.arange(len(tgt)), tgt] -= 1.0
+        dlogits[i, pos_idx] = (1.0 - a) / (b * n_valid) * dce
+
+        if a > 0.0:
+            rows = np.zeros((len(seq), model_cfg.vocab_size))
+            rows[1 : len(seq)] = probs[i, : len(seq) - 1]
+            try:
+                loss_i, row_grads, _ = positional_ergo_loss(
+                    plan, seq, rows, guidance_cfg, soft_params, rng=rng
+                )
+            except NoEligiblePositions:
+                alphas[i] = 0.0
+                dlogits[i, pos_idx] = 1.0 / (b * n_valid) * dce
+                continue
+            ergo_per_sample[i] = loss_i
+            for pos, g_row in row_grads.items():
+                row = probs[i, pos - 1]
+                dz = row * (g_row - (g_row * row).sum())
+                dlogits[i, pos - 1] += (a / b) * dz
+
+    have_ergo = ~np.isnan(ergo_per_sample)
+    ergo_mean = float(ergo_per_sample[have_ergo].mean()) if have_ergo.any() else 0.0
+    per_sample_total = (1.0 - alphas) * ce_per_sample + alphas * np.where(
+        have_ergo, ergo_per_sample, 0.0
+    )
+    loss = guidance.MixedLoss(
+        cross_entropy=float(ce_per_sample.mean()),
+        ergo=ergo_mean,
+        alpha=float(alphas.mean()),
+        total=float(per_sample_total.mean()),
+    )
+    dlogits = dlogits.astype(params["tok_emb"].dtype)
+    grads = model.backward_logits(params, model_cfg, cache, dlogits)
+    return loss, grads
 
 
 # --- earlier transformer kernels: the bit-identity reference -------------

@@ -4,10 +4,12 @@ import numpy as np
 import oracles
 import pytest
 
-from conftest import make_plan, rect
+from conftest import histogram_polygon, make_plan, rect
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import loss_finite_difference
 
-from ergoplan import ergoloss
+from ergoplan import ergoloss, geometry
 from ergoplan.dataset import SynthConfig, synth_plan
 from ergoplan.ergocost import TERMS
 from ergoplan.errors import EmptyInput
@@ -382,36 +384,64 @@ class TestSubstitutedLosses:
             assert grads[ri][vi, axis] == pytest.approx(dval, abs=1e-12)
 
 
+def all_substitutions(vplan, rng, shift=3.0):
+    """Every room coordinate once, each moved by a random amount."""
+    return [
+        (ri, vi, axis, float(coords[vi, axis] + shift * (rng.random() - 0.5)))
+        for ri, coords in enumerate(vplan.room_coords)
+        for vi in range(len(coords))
+        for axis in range(2)
+    ]
+
+
 class TestReferenceTerms:
-    """The loop over the rule table against the earlier per-term blocks,
-    kept verbatim as `oracles._term_values_and_grads`."""
+    """The pair table against the earlier evaluations kept in `oracles`: the
+    tiled loop over the rule table and the per-term blocks before it."""
 
     @staticmethod
-    def evaluate_both(monkeypatch, vplan, params, variants=None):
-        new = ergoloss._evaluate(vplan, params, variants)
-        with monkeypatch.context() as patched:
-            patched.setattr(ergoloss, "_term_values_and_grads", oracles._term_values_and_grads)
-            old = ergoloss._evaluate(vplan, params, variants)
-        return new, old
+    def evaluate_both(
+        vplan, params, variants=None, terms=oracles._rule_term_values_and_grads
+    ):
+        """(term values, total, gradients) from the package and the oracle.
+
+        Without variants the gradients are the full per-room arrays; with
+        them, term values are not exposed and the gradients are the
+        derivatives w.r.t. each substituted cell value."""
+        values, total, grads = oracles.evaluate(vplan, params, variants, terms)
+        if variants is None:
+            breakdown, new_grads = ergoloss.ergonomic_loss_grad(vplan, params)
+            new = ([getattr(breakdown, t) for t in TERMS], breakdown.total, new_grads)
+            if total is None:
+                grads = [np.zeros((1,) + c.shape) for c in vplan.room_coords]
+            old = (
+                [None if values[t] is None else values[t][0] for t in TERMS],
+                None if total is None else total[0],
+                [g[0] for g in grads],
+            )
+            return new, old
+        new_total, new_dvalue = ergoloss.substituted_losses(vplan, variants, params)
+        dvalue = None
+        if total is not None:
+            dvalue = np.array(
+                [grads[ri][v, vi, axis] for v, (ri, vi, axis, _) in enumerate(variants)]
+            )
+        return ([], new_total, [new_dvalue]), ([], total, [dvalue])
 
     @staticmethod
     def assert_close(new, old, atol):
         def close(a, b):
+            if a is None or b is None:
+                return a is None and b is None
             if atol == 0.0:
                 return np.array_equal(a, b)
             return np.allclose(a, b, rtol=0.0, atol=atol)
 
         (values, total, grads), (ref_values, ref_total, ref_grads) = new, old
-        for term in TERMS:
-            assert (values[term] is None) == (ref_values[term] is None)
-            if values[term] is not None:
-                assert close(values[term], ref_values[term])
-        assert (total is None) == (ref_total is None)
-        if total is not None:
-            assert close(total, ref_total)
-            assert all(close(g, r) for g, r in zip(grads, ref_grads))
+        assert all(close(v, r) for v, r in zip(values, ref_values, strict=True))
+        assert close(total, ref_total)
+        assert all(close(g, r) for g, r in zip(grads, ref_grads, strict=True))
 
-    def test_bit_identical_with_substitutions(self, monkeypatch, rng):
+    def test_bit_identical_with_substitutions(self, rng):
         cfg = SynthConfig(de_ergonomize_fraction=0.5)  # criterion 1's plans
         for seed in range(60):
             vplan = VertexPlan.from_plan(synth_plan(seed, cfg))
@@ -422,10 +452,14 @@ class TestReferenceTerms:
                 substitutions.append((ri, vi, int(rng.integers(2)), float(rng.random() * 256)))
             for params in (SoftParams(), CELLS):
                 for variants in (None, substitutions):
-                    new, old = self.evaluate_both(monkeypatch, vplan, params, variants)
-                    self.assert_close(new, old, atol=0.0)
+                    for terms in (
+                        oracles._rule_term_values_and_grads,
+                        oracles._term_values_and_grads,
+                    ):
+                        new, old = self.evaluate_both(vplan, params, variants, terms)
+                        self.assert_close(new, old, atol=0.0)
 
-    def test_several_entrances_within_1e12(self, monkeypatch):
+    def test_several_entrances_within_1e12(self):
         # the entrance mean now scales by (1 / n) instead of dividing by n
         entrances = [rect(0, 0, 8, 8), rect(32, 32, 40, 40), rect(48, 8, 56, 16)]
         for n in (2, 3):
@@ -437,5 +471,95 @@ class TestReferenceTerms:
             )
             vplan = VertexPlan.from_plan(plan)
             for params in (SoftParams(), CELLS):
-                new, old = self.evaluate_both(monkeypatch, vplan, params, [(1, 2, 0, 30.5)])
-                self.assert_close(new, old, atol=1e-12)
+                for variants in (None, [(1, 2, 0, 30.5)]):
+                    new, old = self.evaluate_both(
+                        vplan, params, variants, oracles._term_values_and_grads
+                    )
+                    self.assert_close(new, old, atol=1e-12)
+                    self.assert_close(*self.evaluate_both(vplan, params, variants), atol=0.0)
+
+    @staticmethod
+    def several_target_plan(rng, kitchens_or_bathrooms):
+        """3 clients (an entrance and two dining rooms, or an entrance, a
+        living and a master room) x 2 targets, with skyline rooms of up to 6
+        and 8 vertices among rectangles, so that the shape groups are mixed."""
+        target = kitchens_or_bathrooms
+        return make_plan(
+            rect(0, 0, 200, 200),
+            ((0, 4), (0, 8)),
+            [
+                (RoomType.Entrance, histogram_polygon(rng, columns=2, base=(10, 10))),
+                (RoomType.LivingRoom, rect(40, 10, 60, 30)),
+                (RoomType.DiningRoom, histogram_polygon(rng, columns=3, base=(80, 10))),
+                (RoomType.DiningRoom, rect(100, 80, 110, 90)),
+                (RoomType.MasterRoom, histogram_polygon(rng, columns=3, base=(10, 60))),
+                (target, histogram_polygon(rng, columns=2, base=(60, 120))),
+                (target, rect(140, 140, 150, 160)),
+                (RoomType.Balcony, histogram_polygon(rng, columns=3, base=(120, 40))),
+                (RoomType.Storage, rect(170, 10, 180, 20)),
+            ],
+        )
+
+    def test_several_targets_and_mixed_shapes_bit_identical(self, rng):
+        # three clients (a client count that is not a power of two) against
+        # two targets; rooms of 4, 6 and 8 vertices
+        for trial in range(12):
+            for target in (RoomType.Kitchen, RoomType.Bathroom):
+                vplan = VertexPlan.from_plan(self.several_target_plan(rng, target))
+                assert {len(c) for c in vplan.room_coords} >= {4, 8}
+                substitutions = all_substitutions(vplan, rng)
+                for params in (SoftParams(), CELLS):
+                    for variants in (None, substitutions, substitutions[:1]):
+                        self.assert_close(
+                            *self.evaluate_both(vplan, params, variants), atol=0.0
+                        )
+
+
+def two_room_plan(seed, columns, offset):
+    """An entrance and a kitchen, both random skylines, the kitchen shifted
+    by `offset` cells (overlapping, touching or apart)."""
+    rng = np.random.default_rng(seed)
+    a = histogram_polygon(rng, columns=columns[0], base=(20, 20))
+    b = histogram_polygon(rng, columns=columns[1], base=(20 + offset[0], 20 + offset[1]))
+    return make_plan(
+        rect(0, 0, 64, 64),
+        ((0, 4), (0, 8)),
+        [(RoomType.Entrance, a), (RoomType.Kitchen, b), (RoomType.Bathroom, rect(2, 50, 6, 54))],
+    )
+
+
+plans = st.builds(
+    two_room_plan,
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    st.tuples(st.integers(-12, 24), st.integers(-12, 24)),
+)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(plans, st.floats(0.1, 1000.0))
+    def test_soft_pair_distance_bounds_min_distance(self, plan, beta):
+        # a softmin-weighted mean of vertex distances is never below the
+        # boundary distance, crossing and nesting pairs included
+        table = ergoloss.PairTable(plan, SoftParams(beta=beta, coordinate_space="cells"))
+        shapes = list(plan.rooms) + [plan.door]
+        for (ci, ti), soft in zip(table.pairs, table.base, strict=True):
+            assert soft >= geometry.min_distance(shapes[ci], shapes[ti]) - 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(plans, st.data())
+    def test_substituted_losses_equal_oracle(self, plan, data):
+        vplan = VertexPlan.from_plan(plan)
+        rooms = st.integers(0, len(vplan.room_coords) - 1)
+        substitutions = []
+        for ri in data.draw(st.lists(rooms, min_size=1, max_size=12)):
+            vi = data.draw(st.integers(0, len(vplan.room_coords[ri]) - 1))
+            axis = data.draw(st.integers(0, 1))
+            value = data.draw(st.floats(0.0, 64.0))
+            substitutions.append((ri, vi, axis, value))
+        for params in (SoftParams(), CELLS):
+            losses, dvalues = ergoloss.substituted_losses(vplan, substitutions, params)
+            ref_losses, ref_dvalues = oracles.substituted_losses(vplan, substitutions, params)
+            assert np.array_equal(losses, ref_losses)
+            assert np.array_equal(dvalues, ref_dvalues)

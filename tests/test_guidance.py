@@ -1,11 +1,13 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from conftest import make_plan, rect
 
 from ergoplan import ergoloss, guidance, tokenizer
+from ergoplan.dataset import SynthConfig, synth_plan
 from ergoplan.errors import ArgmaxNotCoordinate, NoEligiblePositions
 from ergoplan.ergoloss import SoftParams
 from ergoplan.guidance import GuidanceConfig, alpha, combined_loss, expected_token
@@ -85,6 +87,69 @@ class TestExpectedToken:
                 ) / (2 * h)
                 projected = grad[j] - float(grad @ row)
                 assert fd == pytest.approx(projected, rel=1e-4, abs=1e-9)
+
+
+def softened_rows(rng, n):
+    """n random probability rows whose argmax is a coordinate token."""
+    logits = rng.standard_normal((n, V.size)) * rng.uniform(0.5, 4.0)
+    logits[:, 256:] -= 100.0
+    rows = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+class TestCollapse:
+    """All rows at once against the earlier per-row code in `oracles`."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [CFG, GuidanceConfig(resolution=256, sigma=4 / 256, window=3), GuidanceConfig(sigma=0.05)],
+    )
+    def test_bit_identical_to_per_row(self, rng, cfg):
+        rows = softened_rows(rng, 60)
+        v_bar, grad = guidance.collapse(rows, cfg)
+        for row, v, g in zip(rows, v_bar, grad, strict=True):
+            ref_v, ref_g = oracles.expected_token_grad(row, cfg)
+            assert v == ref_v
+            assert np.array_equal(g, ref_g)
+            v1, g1 = guidance.expected_token_grad(row, cfg)
+            assert v1 == ref_v and np.array_equal(g1, ref_g)
+
+    def test_any_non_coordinate_argmax_raises(self, rng):
+        rows = softened_rows(rng, 5)
+        rows[3] = row_with({V.eos: 1.0})
+        with pytest.raises(ArgmaxNotCoordinate):
+            guidance.collapse(rows, CFG)
+
+    def test_no_rows(self):
+        v_bar, grad = guidance.collapse(np.zeros((0, V.size)), CFG)
+        assert v_bar.shape == (0,) and grad.shape == (0, V.size)
+
+    def test_positional_loss_bit_identical_to_per_row(self, rng):
+        for seed in range(8):
+            plan = synth_plan(seed, SynthConfig(de_ergonomize_fraction=1.0))
+            seq = tokenizer.encode(plan, V)
+            rows = softened_rows(rng, len(seq))
+            # a few rows with a non-coordinate argmax are skipped by both
+            rows[rng.integers(len(seq), size=3)] = row_with({V.eos: 1.0})
+            for params in (SoftParams(), CELLS):
+                table = ergoloss.PairTable(plan, params)
+                for gt in (plan, table):
+                    result = guidance.positional_ergo_loss(gt, seq, rows, CFG, params)
+                    loss, row_grads, eligible = oracles.positional_ergo_loss(
+                        plan, seq, rows, CFG, params
+                    )
+                    assert result.loss == loss
+                    assert result.eligible_positions == eligible
+                    assert result.row_grads.keys() == row_grads.keys()
+                    for pos, g in row_grads.items():
+                        assert np.array_equal(result.row_grads[pos], g)
+
+    def test_table_with_other_params_rejected(self):
+        plan = plan_with_rooms()
+        seq = tokenizer.encode(plan, V)
+        table = ergoloss.PairTable(plan, SoftParams())
+        with pytest.raises(ValueError):
+            guidance.positional_ergo_loss(table, seq, one_hot_rows(seq), CFG, CELLS)
 
 
 def plan_with_rooms():

@@ -276,10 +276,49 @@ class TestTraining:
         # a stale entry at the plan's id() must not be returned for it
         gcfg = guidance.GuidanceConfig()
         sp = ergoloss.SoftParams()
-        cache = {id(spread_plan): 0.75}
-        alpha = model._sample_alpha(spread_plan, sp, gcfg, cache)
+        cache = {id(spread_plan): 0.75, (id(spread_plan), sp): 0.75}
+        alpha = model._sample_alpha(model._plan_table(spread_plan, sp, cache), gcfg)
         assert alpha == guidance.alpha(ergoloss.ergonomic_loss(spread_plan, sp).total, gcfg)
         assert alpha != 0.75
+
+    def test_alpha_follows_each_config(self, spread_plan):
+        # one state stepped under several gammas and betas gets each
+        # configuration's own mixing weight, not the first one's
+        batch = [(tokenizer.encode(spread_plan, V), spread_plan)]
+        tcfg = TrainConfig(guided=True, seed=1)
+        state = model.init_train_state(SMALL, tcfg)
+        configs = [
+            (guidance.GuidanceConfig(gamma=5.0), ergoloss.SoftParams()),
+            (guidance.GuidanceConfig(gamma=30.0), ergoloss.SoftParams()),
+            (guidance.GuidanceConfig(gamma=5.0), ergoloss.SoftParams(beta=2.0)),
+            (guidance.GuidanceConfig(gamma=5.0), ergoloss.SoftParams(beta=50.0)),
+        ]
+        alphas = []
+        for gcfg, sp in configs:
+            _, loss = model.train_step(batch, state, SMALL, tcfg, gcfg, sp)
+            expected = guidance.alpha(ergoloss.ergonomic_loss(spread_plan, sp).total, gcfg)
+            assert loss.alpha == expected
+            alphas.append(loss.alpha)
+        assert len(set(alphas)) == len(alphas)
+
+    def test_guided_loss_and_grads_match_per_row_oracle(self):
+        corpus = dataset.synth_generate(12, seed=4, cfg=SynthConfig(de_ergonomize_fraction=1.0))
+        batch = samples_from(corpus)
+        params = noisy_params(SMALL)
+        tcfg = TrainConfig(guided=True)
+        for gcfg in (
+            guidance.GuidanceConfig(gamma=5.0),
+            guidance.GuidanceConfig(gamma=5.0, substitute_all=False, window=4),
+        ):
+            loss, grads = model.batch_loss_and_grads(
+                batch, params, SMALL, tcfg, gcfg, rng=np.random.default_rng(2)
+            )
+            ref_loss, ref_grads = oracles.batch_loss_and_grads(
+                batch, params, SMALL, tcfg, gcfg, rng=np.random.default_rng(2)
+            )
+            assert loss.alpha > 0.0
+            assert loss == ref_loss
+            assert all(np.array_equal(grads[k], ref_grads[k]) for k in ref_grads)
 
     def test_checkpoint_round_trip(self, memorized, tmp_path):
         state, _, _ = memorized
