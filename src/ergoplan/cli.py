@@ -448,15 +448,7 @@ def _cmd_eval(args):
 
 
 def _report_from_json(path):
-    data = json.loads(Path(path).read_text())
-    counts = data.pop("counts")
-    return metrics.EvalReport(
-        n_sequences=counts["sequences"],
-        n_parsed=counts["parsed"],
-        n_valid=counts["valid"],
-        n_cost_applicable=counts["cost_applicable"],
-        **data,
-    )
+    return metrics.EvalReport.from_dict(json.loads(Path(path).read_text()))
 
 
 def _cmd_compare(args):

@@ -57,6 +57,24 @@ class EvalReport:
             "config": self.config,
         }
 
+    @classmethod
+    def from_dict(cls, data):
+        """Inverse of to_dict; keys other than to_dict's are ignored."""
+        counts = data["counts"]
+        return cls(
+            parsability=data["parsability"],
+            validity=data["validity"],
+            fully_covered=data["fully_covered"],
+            no_room_overlapping=data["no_room_overlapping"],
+            ergonomic_cost=data["ergonomic_cost"],
+            perfect_ergonomic=data["perfect_ergonomic"],
+            n_sequences=counts["sequences"],
+            n_parsed=counts["parsed"],
+            n_valid=counts["valid"],
+            n_cost_applicable=counts["cost_applicable"],
+            config=data.get("config", {}),
+        )
+
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
 

@@ -11,6 +11,7 @@ against finite differences.
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,32 +122,58 @@ def parameter_checksum(params):
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
-# The kernels below work in buffers they own but keep every floating-point
-# operation and its operand grouping: results are bit-identical to the
-# allocate-per-operation form kept in tests/oracles.py. Only commutation
-# (a*b == b*a, a+b == b+a) and exact scaling by 0.5 are used to reorder.
+# The kernels below write into workspace buffers but keep every
+# floating-point operation and its operand grouping: results are
+# bit-identical to the allocate-per-operation form kept in tests/oracles.py.
+# Only commutation (a*b == b*a, a+b == b+a) and exact scaling by 0.5 are
+# used to reorder.
 
 
-def _gelu(x):
-    """tanh-form GELU; returns (value, tanh cache for the backward pass)."""
-    t = np.multiply(x, x)
+class _Workspace:
+    """Grow-only flat buffers, one per name. take() returns a contiguous
+    leading view of the requested shape, so every batch up to the largest
+    seen reuses the same memory and only touched pages become resident. A
+    view is valid until its name is taken again."""
+
+    def __init__(self):
+        self.buffers = {}
+        self._views = {}  # name -> the view last taken, reused for its shape
+
+    def take(self, name, shape, dtype):
+        view = self._views.get(name)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self.buffers[name] = np.empty(size, dtype)
+        view = self._views[name] = buf[:size].reshape(shape)
+        return view
+
+
+def _gelu(x, t, out):
+    """tanh-form GELU of x into out; t receives the tanh cache for the
+    backward pass. Returns (value, tanh cache)."""
+    np.multiply(x, x, out=t)
     t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = np.add(t, 1.0)
+    np.add(t, 1.0, out=out)
     out *= x
     out *= 0.5
     return out, t
 
 
-def _gelu_grad(x, t):
-    du = np.multiply(x, x)
+def _gelu_grad(x, t, du, rest):
+    """GELU derivative at x, given its tanh cache t; du and rest are
+    scratch, and the result is written into du."""
+    np.multiply(x, x, out=du)
     du *= 3.0 * _GELU_A
     du += 1.0
     du *= _GELU_C
-    rest = np.multiply(t, t)
+    np.multiply(t, t, out=rest)
     np.subtract(1.0, rest, out=rest)
     rest *= x
     rest *= 0.5
@@ -160,11 +187,22 @@ def _gelu_grad(x, t):
 _LN_EPS = 1e-5
 
 
-def _layernorm(x, g, b):
-    mu = x.mean(-1, keepdims=True)
-    xhat = x - mu
-    out = np.square(xhat)
-    var = out.mean(-1, keepdims=True)
+def _mean_last(x):
+    """x.mean(-1, keepdims=True), the same sum and division without numpy's
+    Python-level wrapper, which costs more than the arithmetic on a few
+    rows."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    total /= x.shape[-1]
+    return total
+
+
+def _layernorm(x, g, b, ws, name):
+    """Layer norm of x into the buffer `name`; returns (output, (xhat, inv)),
+    with xhat in the buffer `name`.xhat."""
+    mu = _mean_last(x)
+    xhat = np.subtract(x, mu, out=ws.take(name + ".xhat", x.shape, x.dtype))
+    out = np.square(xhat, out=ws.take(name, x.shape, x.dtype))
+    var = _mean_last(out)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     np.multiply(xhat, g, out=out)
@@ -172,18 +210,18 @@ def _layernorm(x, g, b):
     return out, (xhat, inv)
 
 
-def _layernorm_backward(dy, g, cache):
+def _layernorm_backward(dy, g, cache, scratch):
     """Overwrites dy with the input gradient; returns (dx, dg, db)."""
     xhat, inv = cache
     axes = tuple(range(dy.ndim - 1))
-    scratch = np.multiply(dy, xhat)
+    np.multiply(dy, xhat, out=scratch)
     dg = scratch.sum(axis=axes)
     db = dy.sum(axis=axes)
     dxhat = dy
     dxhat *= g
     np.multiply(dxhat, xhat, out=scratch)
-    proj = scratch.mean(-1, keepdims=True)
-    dxhat -= dxhat.mean(-1, keepdims=True)
+    proj = _mean_last(scratch)
+    dxhat -= _mean_last(dxhat)
     np.multiply(xhat, proj, out=scratch)
     dxhat -= scratch
     dxhat *= inv
@@ -207,56 +245,72 @@ def _causal_mask(t, dtype):
     return mask
 
 
-def _embed(params, tokens, positions, xy, vert):
-    """Sum of the four input embeddings; `positions` indexes pos_emb."""
-    x = params["tok_emb"][tokens]
+def _embed(params, tokens, positions, xy, vert, ws):
+    """Sum of the four input embeddings into the buffer "x"; `positions`
+    indexes pos_emb. np.take clips, so the indices must be in range."""
+    table = params["tok_emb"]
+    shape = (*tokens.shape, table.shape[1])
+    x = np.take(table, tokens, axis=0, out=ws.take("x", shape, table.dtype), mode="clip")
+    row = ws.take("emb", shape, table.dtype)
     x += params["pos_emb"][positions]
-    x += params["xy_emb"][xy]
-    x += params["vert_emb"][vert]
+    x += np.take(params["xy_emb"], xy, axis=0, out=row, mode="clip")
+    x += np.take(params["vert_emb"], vert, axis=0, out=row, mode="clip")
     return x
 
 
-def _attention_inputs(params, i, x):
+def _attention_inputs(params, i, x, ws, tag):
     """Layer i's pre-norm and qkv projection of x (..., D); returns the
-    normed input, its layernorm cache, and q, k and v as (..., D) views."""
-    a, ln1_cache = _layernorm(x, params[f"h{i}.ln1.g"], params[f"h{i}.ln1.b"])
-    qkv = a @ params[f"h{i}.attn.wqkv"]
+    normed input, its layernorm cache, and q, k and v as (..., D) views.
+    Buffer names start with tag."""
+    a, ln1_cache = _layernorm(x, params[f"h{i}.ln1.g"], params[f"h{i}.ln1.b"], ws, tag + "ln1")
+    w = params[f"h{i}.attn.wqkv"]
+    qkv = np.matmul(a, w, out=ws.take(tag + "qkv", (*x.shape[:-1], w.shape[1]), x.dtype))
     qkv += params[f"h{i}.attn.bqkv"]
     return (a, ln1_cache, *np.split(qkv, 3, axis=-1))
 
 
-def _attention_probs(q, k, mask, scale):
-    """Masked, scaled softmax of q against the keys k."""
-    probs = q @ k.transpose(0, 1, 3, 2)
+def _attention_probs(q, k, mask, scale, out):
+    """Masked, scaled softmax of q against the keys k, into out."""
+    probs = np.matmul(q, k.transpose(0, 1, 3, 2), out=out)
     probs *= scale
     probs += mask
     return _softmax(probs)
 
 
-def _attention_output(params, i, ctx, x):
+def _attention_output(params, i, ctx, x, ws):
     """Layer i's output projection of the merged heads ctx, plus the
-    residual x."""
-    x1 = ctx @ params[f"h{i}.attn.wproj"]
+    residual x, into the buffer "x1"."""
+    x1 = np.matmul(ctx, params[f"h{i}.attn.wproj"], out=ws.take("x1", x.shape, x.dtype))
     x1 += params[f"h{i}.attn.bproj"]
     x1 += x
     return x1
 
 
-def _mlp_block(params, i, x1):
-    """Layer i's pre-norm GELU MLP and residual; returns (output, cache)."""
-    m, ln2_cache = _layernorm(x1, params[f"h{i}.ln2.g"], params[f"h{i}.ln2.b"])
-    fc = m @ params[f"h{i}.mlp.wfc"]
+def _mlp_block(params, i, x1, ws, tag):
+    """Layer i's pre-norm GELU MLP and residual; returns (output, cache).
+    The output goes to the buffer "x", so the block's input must not be
+    there; cached buffer names start with tag."""
+    m, ln2_cache = _layernorm(x1, params[f"h{i}.ln2.g"], params[f"h{i}.ln2.b"], ws, tag + "ln2")
+    w = params[f"h{i}.mlp.wfc"]
+    shape = (*x1.shape[:-1], w.shape[1])
+    fc = np.matmul(m, w, out=ws.take(tag + "fc", shape, x1.dtype))
     fc += params[f"h{i}.mlp.bfc"]
-    act, tanh_cache = _gelu(fc)
-    x = act @ params[f"h{i}.mlp.wproj"]
+    act, tanh_cache = _gelu(
+        fc, ws.take(tag + "tanh", shape, x1.dtype), ws.take(tag + "act", shape, x1.dtype)
+    )
+    x = np.matmul(act, params[f"h{i}.mlp.wproj"], out=ws.take("x", x1.shape, x1.dtype))
     x += params[f"h{i}.mlp.bproj"]
     x += x1
     return x, {"m": m, "ln2": ln2_cache, "fc": fc, "tanh": tanh_cache, "act": act}
 
 
-def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
+def forward_logits(params, cfg, tokens, xy, vert, need_cache=False, workspace=None):
     """Next-token logits for an integer batch (B, T); rows at position t are
-    the prediction for token t+1."""
+    the prediction for token t+1.
+
+    The logits and the cache are views into `workspace` (a fresh one when
+    None) and stay valid until it is used again. With need_cache every
+    layer keeps its own buffers; without, the layers share one set."""
     tokens = np.asarray(tokens)
     xy = np.asarray(xy)
     vert = np.asarray(vert)
@@ -265,36 +319,43 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
     b, t = tokens.shape
     if t > cfg.context_len:
         raise ContextOverflow(f"sequence length {t} exceeds context {cfg.context_len}")
+    # _embed clips indices, so every one is checked here
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise OutOfRange("token id outside vocabulary")
-    if vert.max() > cfg.max_vertex_index:
-        raise OutOfRange(
-            f"vertex index {int(vert.max())} exceeds table size {cfg.max_vertex_index}"
-        )
+    if xy.min() < 0 or xy.max() >= len(params["xy_emb"]):
+        raise OutOfRange("xy index outside its table")
+    if vert.min() < 0 or vert.max() > cfg.max_vertex_index:
+        raise OutOfRange(f"vertex index outside 0..{cfg.max_vertex_index}")
+    ws = workspace if workspace is not None else _Workspace()
 
-    x = _embed(params, tokens, slice(t), xy, vert)
-    mask = _causal_mask(t, x.dtype)
+    x = _embed(params, tokens, slice(t), xy, vert, ws)
+    dtype = x.dtype
+    mask = _causal_mask(t, dtype)
     h = cfg.heads
     hd = cfg.embed_dim // h
     scale = float(1.0 / np.sqrt(hd))
     cache = {"tokens": tokens, "xy": xy, "vert": vert, "layers": []}
 
     for i in range(cfg.layers):
-        a, ln1_cache, q, k, v = _attention_inputs(params, i, x)
+        tag = f"h{i}." if need_cache else ""
+        a, ln1_cache, q, k, v = _attention_inputs(params, i, x, ws, tag)
         q = q.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
         k = k.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
         v = v.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-        probs = _attention_probs(q, k, mask, scale)
-        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, t, cfg.embed_dim)
-        x1 = _attention_output(params, i, ctx, x)
-        x, mlp_cache = _mlp_block(params, i, x1)
+        probs = _attention_probs(q, k, mask, scale, ws.take(tag + "probs", (b, h, t, t), dtype))
+        heads = np.matmul(probs, v, out=ws.take("heads", (b, h, t, hd), dtype))
+        ctx = ws.take(tag + "ctx", (b, t, cfg.embed_dim), dtype)
+        ctx.reshape(b, t, h, hd)[...] = heads.transpose(0, 2, 1, 3)
+        x1 = _attention_output(params, i, ctx, x, ws)
+        x, mlp_cache = _mlp_block(params, i, x1, ws, tag)
         if need_cache:
             cache["layers"].append(
                 dict(a=a, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, ctx=ctx, **mlp_cache)
             )
 
-    hfinal, lnf_cache = _layernorm(x, params["lnf.g"], params["lnf.b"])
-    logits = hfinal @ params["tok_emb"].T
+    hfinal, lnf_cache = _layernorm(x, params["lnf.g"], params["lnf.b"], ws, "lnf")
+    table = params["tok_emb"]
+    logits = np.matmul(hfinal, table.T, out=ws.take("logits", (b, t, len(table)), dtype))
     if need_cache:
         cache["hfinal"] = hfinal
         cache["lnf"] = lnf_cache
@@ -302,49 +363,72 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
     return logits
 
 
-def _decode_step(params, cfg, keys, values, tokens, positions, xy, vert):
+def _decode_step(params, cfg, keys, values, tokens, positions, xy, vert, workspace=None):
     """Logits (rows, vocab) for one new position per row, attending over the
     cached keys and values up to each row's own position. Writes the new
     position's k and v into keys[i] and values[i] (rows, heads, limit,
     head_dim) in place; cached positions past a row's own are masked.
     Rows stay a flat (rows, D) batch outside attention, so every projection
-    is one matrix product."""
+    is one matrix product. The logits are a view into `workspace` (a fresh
+    one when None)."""
+    ws = workspace if workspace is not None else _Workspace()
     b = len(tokens)
     h = cfg.heads
     hd = cfg.embed_dim // h
     n = int(positions.max()) + 1
-    x = _embed(params, tokens, positions, xy, vert)
-    mask = np.where(np.arange(n) > positions[:, None], -1e9, 0.0).astype(x.dtype)
+    x = _embed(params, tokens, positions, xy, vert, ws)
+    dtype = x.dtype
+    mask = np.where(np.arange(n) > positions[:, None], -1e9, 0.0).astype(dtype)
     mask = mask[:, None, None, :]
     scale = float(1.0 / np.sqrt(hd))
     rows = np.arange(b)
     for i in range(cfg.layers):
-        _, _, q, k, v = _attention_inputs(params, i, x)
+        _, _, q, k, v = _attention_inputs(params, i, x, ws, "")
         keys[i][rows, :, positions] = k.reshape(b, h, hd)
         values[i][rows, :, positions] = v.reshape(b, h, hd)
-        probs = _attention_probs(q.reshape(b, h, 1, hd), keys[i][:b, :, :n], mask, scale)
-        ctx = (probs @ values[i][:b, :, :n]).reshape(b, cfg.embed_dim)
-        x1 = _attention_output(params, i, ctx, x)
-        x, _ = _mlp_block(params, i, x1)
-    hfinal, _ = _layernorm(x, params["lnf.g"], params["lnf.b"])
-    return hfinal @ params["tok_emb"].T
+        out = ws.take("probs", (b, h, 1, n), dtype)
+        probs = _attention_probs(q.reshape(b, h, 1, hd), keys[i][:b, :, :n], mask, scale, out)
+        heads = np.matmul(probs, values[i][:b, :, :n], out=ws.take("heads", (b, h, 1, hd), dtype))
+        x1 = _attention_output(params, i, heads.reshape(b, cfg.embed_dim), x, ws)
+        x, _ = _mlp_block(params, i, x1, ws, "")
+    hfinal, _ = _layernorm(x, params["lnf.g"], params["lnf.b"], ws, "lnf")
+    table = params["tok_emb"]
+    return np.matmul(hfinal, table.T, out=ws.take("logits", (b, len(table)), dtype))
 
 
-def backward_logits(params, cfg, cache, dlogits):
+def backward_logits(params, cfg, cache, dlogits, workspace=None):
     """Gradients of a scalar loss given d loss / d logits; mirrors
     forward_logits step by step. Reads cache and dlogits without changing
-    them."""
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    them. The gradients and every temporary are views into `workspace` (a
+    fresh one when None); its names must not be the cache's."""
+    ws = workspace if workspace is not None else _Workspace()
+    grads = {}
+    for name, arr in params.items():
+        # zeroed, then accumulated with +=, exactly as np.zeros then +=
+        grads[name] = ws.take("d." + name, arr.shape, arr.dtype)
+        grads[name].fill(0)
     b, t, _ = dlogits.shape
     h = cfg.heads
     hd = cfg.embed_dim // h
     scale = float(1.0 / np.sqrt(hd))
     d = cfg.embed_dim
+    dtype = dlogits.dtype
 
+    def take(name, shape):
+        return ws.take(name, shape, dtype)
+
+    def accumulate(name, inputs, dout):
+        grads[name] += np.matmul(inputs, dout, out=take("dw", grads[name].shape))
+
+    # the MLP branch's (B, T, 4D) scratch and the attention branch's
+    # (B, H, T, T) scratch are never live together, so they share "s0"-"s2",
+    # and da takes dctx's buffer once dv, dq and dk are formed; the residual
+    # stream alternates between "dx0" and "dx1"
+    ln_scratch = take("dln", (b, t, d))
     hfinal = cache["hfinal"]
-    grads["tok_emb"] += dlogits.reshape(-1, cfg.vocab_size).T @ hfinal.reshape(-1, d)
-    dh = dlogits @ params["tok_emb"]
-    dx, dg, db = _layernorm_backward(dh, params["lnf.g"], cache["lnf"])
+    accumulate("tok_emb", dlogits.reshape(-1, cfg.vocab_size).T, hfinal.reshape(-1, d))
+    dh = np.matmul(dlogits, params["tok_emb"], out=take(f"dx{cfg.layers % 2}", (b, t, d)))
+    dx, dg, db = _layernorm_backward(dh, params["lnf.g"], cache["lnf"], ln_scratch)
     grads["lnf.g"] += dg
     grads["lnf.b"] += db
 
@@ -352,40 +436,39 @@ def backward_logits(params, cfg, cache, dlogits):
         lc = cache["layers"][i]
         # MLP branch
         grads[f"h{i}.mlp.bproj"] += dx.sum((0, 1))
-        grads[f"h{i}.mlp.wproj"] += lc["act"].reshape(-1, 4 * d).T @ dx.reshape(-1, d)
-        dfc = dx @ params[f"h{i}.mlp.wproj"].T
-        dfc *= _gelu_grad(lc["fc"], lc["tanh"])
+        accumulate(f"h{i}.mlp.wproj", lc["act"].reshape(-1, 4 * d).T, dx.reshape(-1, d))
+        dfc = np.matmul(dx, params[f"h{i}.mlp.wproj"].T, out=take("s0", (b, t, 4 * d)))
+        dfc *= _gelu_grad(lc["fc"], lc["tanh"], take("s1", dfc.shape), take("s2", dfc.shape))
         grads[f"h{i}.mlp.bfc"] += dfc.sum((0, 1))
-        grads[f"h{i}.mlp.wfc"] += lc["m"].reshape(-1, d).T @ dfc.reshape(-1, 4 * d)
-        dm = dfc @ params[f"h{i}.mlp.wfc"].T
-        dx1, dg, db = _layernorm_backward(dm, params[f"h{i}.ln2.g"], lc["ln2"])
+        accumulate(f"h{i}.mlp.wfc", lc["m"].reshape(-1, d).T, dfc.reshape(-1, 4 * d))
+        dm = np.matmul(dfc, params[f"h{i}.mlp.wfc"].T, out=take(f"dx{i % 2}", (b, t, d)))
+        dx1, dg, db = _layernorm_backward(dm, params[f"h{i}.ln2.g"], lc["ln2"], ln_scratch)
         grads[f"h{i}.ln2.g"] += dg
         grads[f"h{i}.ln2.b"] += db
         dx1 += dx  # residual
 
         # attention branch
         grads[f"h{i}.attn.bproj"] += dx1.sum((0, 1))
-        grads[f"h{i}.attn.wproj"] += lc["ctx"].reshape(-1, d).T @ dx1.reshape(-1, d)
-        dctx = (dx1 @ params[f"h{i}.attn.wproj"].T).reshape(b, t, h, hd).transpose(
-            0, 2, 1, 3
-        )
+        accumulate(f"h{i}.attn.wproj", lc["ctx"].reshape(-1, d).T, dx1.reshape(-1, d))
+        dctx = np.matmul(dx1, params[f"h{i}.attn.wproj"].T, out=take("dctx", (b, t, d)))
+        dctx = dctx.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
         probs, v = lc["probs"], lc["v"]
-        dscores = dctx @ v.transpose(0, 1, 3, 2)
-        dv = probs.transpose(0, 1, 3, 2) @ dctx
-        dscores -= (dscores * probs).sum(-1, keepdims=True)
+        dscores = np.matmul(dctx, v.transpose(0, 1, 3, 2), out=take("s0", probs.shape))
+        dv = np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=take("dv", v.shape))
+        dscores -= np.multiply(dscores, probs, out=take("s1", probs.shape)).sum(-1, keepdims=True)
         dscores *= probs
-        dq = dscores @ lc["k"]
+        dq = np.matmul(dscores, lc["k"], out=take("dq", v.shape))
         dq *= scale
-        dk = dscores.transpose(0, 1, 3, 2) @ lc["q"]
+        dk = np.matmul(dscores.transpose(0, 1, 3, 2), lc["q"], out=take("dk", v.shape))
         dk *= scale
-        dqkv = np.empty((b, t, 3 * d), dtype=dx.dtype)
+        dqkv = take("s2", (b, t, 3 * d))
         heads = dqkv.reshape(b, t, 3, h, hd)
         for j, g in enumerate((dq, dk, dv)):
             heads[:, :, j] = g.transpose(0, 2, 1, 3)
         grads[f"h{i}.attn.bqkv"] += dqkv.sum((0, 1))
-        grads[f"h{i}.attn.wqkv"] += lc["a"].reshape(-1, d).T @ dqkv.reshape(-1, 3 * d)
-        da = dqkv @ params[f"h{i}.attn.wqkv"].T
-        dxa, dg, db = _layernorm_backward(da, params[f"h{i}.ln1.g"], lc["ln1"])
+        accumulate(f"h{i}.attn.wqkv", lc["a"].reshape(-1, d).T, dqkv.reshape(-1, 3 * d))
+        da = np.matmul(dqkv, params[f"h{i}.attn.wqkv"].T, out=take("dctx", (b, t, d)))
+        dxa, dg, db = _layernorm_backward(da, params[f"h{i}.ln1.g"], lc["ln1"], ln_scratch)
         grads[f"h{i}.ln1.g"] += dg
         grads[f"h{i}.ln1.b"] += db
         dx1 += dxa  # residual
@@ -477,6 +560,7 @@ class Model:
         del cache
         ends = np.array([len(seqs[i]) - 1 for i in live])
         choices = logits[np.arange(len(live)), ends].argmax(-1)
+        ws = _Workspace()
 
         while True:
             for r in reversed(range(len(live))):
@@ -504,6 +588,7 @@ class Model:
                 np.array([len(seqs[i]) - 1 for i in live]),
                 np.array([xy for xy, _ in last]),
                 np.minimum([vertex for _, vertex in last], cfg.max_vertex_index),
+                ws,
             )
             choices = logits.argmax(-1)
 
@@ -518,6 +603,8 @@ class TrainState:
     step: int
     rng: np.random.Generator
     alpha_cache: dict = field(default_factory=dict)  # (plan, SoftParams) -> PairTable
+    # every per-step array of train_step; never saved, compared or printed
+    workspace: _Workspace = field(default_factory=_Workspace, repr=False, compare=False)
 
 
 def init_train_state(model_cfg, train_cfg):
@@ -573,6 +660,7 @@ def batch_loss_and_grads(
     soft_params=None,
     alpha_cache=None,
     rng=None,
+    workspace=None,
 ):
     """Mixed loss over a batch of (TokenSequence, FloorPlan) samples and its
     exact gradient w.r.t. every parameter.
@@ -580,26 +668,35 @@ def batch_loss_and_grads(
     Per sample: cross-entropy over next-token predictions and, when guided
     and the sample's ground-truth plan loss is positive, the expected-token
     plan loss; the two are mixed by the sample's alpha and averaged over the
-    batch.
+    batch. The gradients are views into `workspace` (a fresh one when None)
+    and stay valid until it is used again.
     """
     guidance_cfg = guidance_cfg or guidance.GuidanceConfig()
     soft_params = soft_params or ergoloss.SoftParams()
     alpha_cache = alpha_cache if alpha_cache is not None else {}
+    ws = workspace if workspace is not None else _Workspace()
     vocab = tokenizer.Vocabulary(guidance_cfg.resolution)
     tokens, xy, vert = _pad_batch(batch, vocab, model_cfg.max_vertex_index)
     b, t = tokens.shape
 
-    logits, cache = forward_logits(params, model_cfg, tokens, xy, vert, need_cache=True)
+    logits, cache = forward_logits(
+        params, model_cfg, tokens, xy, vert, need_cache=True, workspace=ws
+    )
     # rows[i, t] is the distribution for token t, the layout guidance reads
     # (row 0 has no prediction and stays zero); probs[i, t] predicts t + 1
-    rows = np.zeros((b, t + 1, logits.shape[-1]))
+    rows = ws.take("rows", (b, t + 1, logits.shape[-1]), np.float64)
+    rows[:, 0] = 0.0
     rows[:, 1:] = logits
     rows[:, 1:] = _softmax(rows[:, 1:])  # no copy: _softmax works in place
     probs = rows[:, 1:]
     targets = tokens[:, 1:]
     valid = targets != vocab.pad
 
-    dlogits = np.zeros_like(probs)
+    # the logits are spent once copied into rows, so their array receives
+    # d loss / d logits, assembled in float64 one sample at a time and cast
+    # to the parameter dtype
+    dlogits = logits
+    dsample = ws.take("dsample", probs.shape[1:], np.float64)
     ce_per_sample = np.zeros(b)
     ergo_per_sample = np.full(b, np.nan)
     alphas = np.zeros(b)
@@ -618,7 +715,8 @@ def batch_loss_and_grads(
 
         dce = p.copy()
         dce[np.arange(len(tgt)), tgt] -= 1.0
-        dlogits[i, pos_idx] = (1.0 - a) / (b * n_valid) * dce
+        dsample.fill(0)
+        dsample[pos_idx] = (1.0 - a) / (b * n_valid) * dce
 
         if a > 0.0:
             try:
@@ -627,16 +725,17 @@ def batch_loss_and_grads(
                 )
             except NoEligiblePositions:
                 alphas[i] = 0.0
-                dlogits[i, pos_idx] = 1.0 / (b * n_valid) * dce
-                continue
-            ergo_per_sample[i] = result.loss
-            # softmax chain rule for all eligible rows at once; the logits
-            # for the token at position t sit at t - 1
-            at = result.positions
-            p_rows = rows[i, at]
-            g = result.grads
-            dz = p_rows * (g - (g * p_rows).sum(axis=1, keepdims=True))
-            dlogits[i, at - 1] += (a / b) * dz
+                dsample[pos_idx] = 1.0 / (b * n_valid) * dce
+            else:
+                ergo_per_sample[i] = result.loss
+                # softmax chain rule for all eligible rows at once; the
+                # logits for the token at position t sit at t - 1
+                at = result.positions
+                p_rows = rows[i, at]
+                g = result.grads
+                dz = p_rows * (g - (g * p_rows).sum(axis=1, keepdims=True))
+                dsample[at - 1] += (a / b) * dz
+        dlogits[i] = dsample
 
     have_ergo = ~np.isnan(ergo_per_sample)
     ergo_mean = float(ergo_per_sample[have_ergo].mean()) if have_ergo.any() else 0.0
@@ -649,15 +748,22 @@ def batch_loss_and_grads(
         alpha=float(alphas.mean()),
         total=float(per_sample_total.mean()),
     )
-    dlogits = dlogits.astype(params["tok_emb"].dtype)
-    grads = backward_logits(params, model_cfg, cache, dlogits)
+    grads = backward_logits(params, model_cfg, cache, dlogits, workspace=ws)
     return loss, grads
+
+
+def _squared_norm(g, ws):
+    """float((g.astype(np.float64) ** 2).sum()), in a workspace buffer."""
+    g64 = ws.take("g64", g.shape, np.float64)
+    g64[...] = g
+    return float(np.square(g64, out=g64).sum())
 
 
 def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_params=None):
     """One optimizer update; returns (state, batch MixedLoss). Aborts with
     NonFiniteLoss before touching the parameters if the loss or gradient
-    degenerates."""
+    degenerates. Every per-step array lives in state.workspace."""
+    ws = state.workspace
     loss, grads = batch_loss_and_grads(
         batch,
         state.params,
@@ -667,13 +773,14 @@ def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_param
         soft_params,
         alpha_cache=state.alpha_cache,
         rng=state.rng,
+        workspace=ws,
     )
     if not np.isfinite(loss.total):
         raise NonFiniteLoss(
             f"non-finite loss at step {state.step + 1}",
             diagnostics={"loss": loss.to_dict()},
         )
-    gnorm = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
+    gnorm = np.sqrt(sum(_squared_norm(g, ws) for g in grads.values()))
     if not np.isfinite(gnorm):
         raise NonFiniteLoss(
             f"non-finite gradient at step {state.step + 1}",
@@ -695,7 +802,7 @@ def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_param
         g = grads[name]
         m = state.adam_m[name]
         v = state.adam_v[name]
-        scratch = np.multiply(g, 1 - b1)
+        scratch = np.multiply(g, 1 - b1, out=ws.take("adam", g.shape, g.dtype))
         m *= b1
         m += scratch
         np.multiply(g, 1 - b2, out=scratch)

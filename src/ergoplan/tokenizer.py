@@ -11,7 +11,7 @@ positioned failure, never an exception.
 
 from dataclasses import dataclass
 
-from .errors import ContextOverflow, OutOfRange
+from .errors import ContextOverflow
 from .plan import DoorSegment, FloorPlan, RoomPolygon, RoomType
 
 DEFAULT_CONTEXT = 320
@@ -232,15 +232,6 @@ def room_coordinate_positions(seq, vocab):
         else:
             in_room = False
     return out
-
-
-def is_room_vertex_coordinate(seq, position, vocab=None):
-    """True iff the token at `position` is a coordinate inside a room
-    segment (boundary and door coordinates do not count)."""
-    if position < 0 or position >= len(seq):
-        raise OutOfRange(f"position {position} outside sequence of length {len(seq)}")
-    vocab = vocab or Vocabulary()
-    return any(pos == position for pos, *_ in room_coordinate_positions(seq, vocab))
 
 
 def boundary_door_prefix(seq, vocab):

@@ -1,7 +1,21 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from ergoplan.plan import DoorSegment, FloorPlan, RoomPolygon, RoomType
+
+# property tests draw the same examples on every run, have no per-example
+# time limit, and write no example database
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
+# even without a database, hypothesis caches the constants it reads from the
+# package source once collection ends; keep that cache in a directory that
+# is removed when the session exits
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def rect(x0, y0, x1, y1):

@@ -553,9 +553,10 @@ def _softmax(z):
     return e / e.sum(-1, keepdims=True)
 
 
-def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
+def forward_logits(params, cfg, tokens, xy, vert, need_cache=False, workspace=None):
     """Next-token logits for an integer batch (B, T); rows at position t are
-    the prediction for token t+1."""
+    the prediction for token t+1. `workspace` is ignored: every array is
+    fresh, which is what the package's kernels are compared against."""
     tokens = np.asarray(tokens)
     xy = np.asarray(xy)
     vert = np.asarray(vert)
@@ -628,9 +629,9 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False):
     return logits
 
 
-def backward_logits(params, cfg, cache, dlogits):
+def backward_logits(params, cfg, cache, dlogits, workspace=None):
     """Gradients of a scalar loss given d loss / d logits; mirrors
-    forward_logits step by step."""
+    forward_logits step by step. `workspace` is ignored."""
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     b, t, _ = dlogits.shape
     h = cfg.heads

@@ -280,15 +280,7 @@ def _run_arm(tmp_path, corpus_dir, holdout_dir, guided):
         )
         == 0
     )
-    data = json.loads(report_file.read_text())
-    counts = data.pop("counts")
-    return metrics.EvalReport(
-        n_sequences=counts["sequences"],
-        n_parsed=counts["parsed"],
-        n_valid=counts["valid"],
-        n_cost_applicable=counts["cost_applicable"],
-        **data,
-    )
+    return metrics.EvalReport.from_dict(json.loads(report_file.read_text()))
 
 
 def test_criterion_08_guided_beats_baseline(tmp_path):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SPREAD_PLAN_COST_CELLS, make_plan, rect
 from oracles import naive_ergonomic_cost
@@ -277,3 +279,14 @@ def test_nearest_assignment_is_optimal():
                 min_distance(plan.rooms[ci], plan.rooms[k], CELLS) for k in kitchens
             )
             assert min_distance(plan.rooms[ci], plan.rooms[ti], CELLS) == best
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**31 - 1))
+def test_isometry_invariance_on_synthetic_plans(seed):
+    plan = synth_plan(seed, SynthConfig(de_ergonomize_fraction=0.5))
+    base = ergocost.ergonomic_cost(plan, CELLS).total
+    for turns in range(4):
+        rotated = rotate_plan(plan, turns)
+        for variant in (rotated, mirror_plan(rotated)):
+            assert ergocost.ergonomic_cost(variant, CELLS).total == base

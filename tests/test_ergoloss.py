@@ -537,7 +537,7 @@ plans = st.builds(
 
 
 class TestProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(plans, st.floats(0.1, 1000.0))
     def test_soft_pair_distance_bounds_min_distance(self, plan, beta):
         # a softmin-weighted mean of vertex distances is never below the
@@ -547,7 +547,7 @@ class TestProperties:
         for (ci, ti), soft in zip(table.pairs, table.base, strict=True):
             assert soft >= geometry.min_distance(shapes[ci], shapes[ti]) - 1e-12
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(plans, st.data())
     def test_substituted_losses_equal_oracle(self, plan, data):
         vplan = VertexPlan.from_plan(plan)

@@ -1,12 +1,17 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_plan, rect
+from conftest import histogram_polygon, make_plan, rect
 
 from ergoplan import dataset, ergocost, geometry, metrics, tokenizer
 from ergoplan.errors import ProtocolMismatch
 from ergoplan.metrics import EvalConfig, compare, evaluate
-from ergoplan.plan import RoomType, ScaleConfig
+from ergoplan.plan import RoomPolygon, RoomType, ScaleConfig
 
 V = tokenizer.Vocabulary(256)
 CFG = EvalConfig(scale=ScaleConfig(1.0))
@@ -159,3 +164,69 @@ def test_markdown_table_lists_denominators():
     table = evaluate(seqs, CFG).to_markdown()
     assert "over 5 sequences" in table
     assert "| Parsability |" in table
+
+
+def test_report_dict_round_trip():
+    _, seqs = encoded_corpus(n=12, seed=5)
+    seqs[0] = seqs[0][:-3]  # one unparsable sequence: ratios below 1
+    for report in (evaluate(seqs, CFG), evaluate([], CFG)):
+        assert metrics.EvalReport.from_dict(json.loads(report.to_json())) == report
+
+
+def moved_edge_plan(seed, room, axis, upper, outward):
+    """A synthetic tiling with one room's edge moved by one lattice step:
+    the room's low or high x or y edge, outward (overlapping a neighbour or
+    leaving the boundary) or inward (leaving a gap). Synthetic rooms are
+    rectangles at least two lattice steps wide, so the room stays valid."""
+    cfg = dataset.SynthConfig(de_ergonomize_fraction=0.5)
+    plan = dataset.synth_plan(seed, cfg)
+    index = room % len(plan.rooms)
+    verts = plan.rooms[index].vertices
+    edge = (max if upper else min)(v[axis] for v in verts)
+    step = cfg.lattice_step if upper == outward else -cfg.lattice_step
+    moved = tuple(
+        tuple(c + step if k == axis and c == edge else c for k, c in enumerate(v)) for v in verts
+    )
+    rooms = list(plan.rooms)
+    rooms[index] = RoomPolygon(rooms[index].kind, moved)
+    return dataclasses.replace(plan, rooms=tuple(rooms))
+
+
+def skyline_plan(seed, bases):
+    """Random rectilinear skyline rooms that may overlap one another and
+    cross the 64 x 64 boundary."""
+    rng = np.random.default_rng(seed)
+    rooms = [
+        (RoomType.LivingRoom, histogram_polygon(rng, columns=int(rng.integers(1, 5)), base=base))
+        for base in bases
+    ]
+    return make_plan(rect(0, 0, 64, 64), ((0, 4), (0, 8)), rooms)
+
+
+class TestCoverageProperties:
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(0, 7),
+        st.integers(0, 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_moved_edge(self, seed, room, axis, upper, outward):
+        covered, overlap = metrics.plan_coverage(moved_edge_plan(seed, room, axis, upper, outward))
+        assert 0.0 <= covered <= 1.0
+        assert overlap >= 0.0
+        if outward:
+            assert covered == 1.0  # the other rooms still tile the boundary
+        else:
+            assert covered < 1.0 and overlap == 0.0
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(st.tuples(st.integers(-8, 60), st.integers(-8, 60)), min_size=1, max_size=4),
+    )
+    def test_skyline_rooms(self, seed, bases):
+        covered, overlap = metrics.plan_coverage(skyline_plan(seed, bases))
+        assert 0.0 <= covered <= 1.0
+        assert overlap >= 0.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -67,6 +69,13 @@ class TestForward:
             model.forward_logits(
                 Model(SMALL).params, SMALL, np.array([[0, 9999]]), np.zeros((1, 2), int), np.zeros((1, 2), int)
             )
+
+    def test_bad_index_streams(self):
+        params = Model(SMALL).params
+        ok = np.zeros((1, 2), int)
+        for xy, vert in ((ok + 3, ok), (ok, ok - 1), (ok, ok + SMALL.max_vertex_index + 1)):
+            with pytest.raises(OutOfRange):
+                model.forward_logits(params, SMALL, ok, xy, vert)
 
     def test_zeroed_index_tables_ignore_index_streams(self):
         net = Model(SMALL)
@@ -227,6 +236,88 @@ class TestInPlaceHazards:
         with pytest.raises(ValueError):
             mask[0, 1] = 0.0
         assert mask[0, 1] == np.float32(-1e9)
+
+
+def oracle_states(monkeypatch, runs):
+    """Fresh states stepped by oracles.train_step over each run's batches,
+    with the earlier kernels patched in; runs are (model_cfg, train_cfg,
+    batches)."""
+    monkeypatch.setattr(model, "forward_logits", oracles.forward_logits)
+    monkeypatch.setattr(model, "backward_logits", oracles.backward_logits)
+    monkeypatch.setattr(model, "_softmax", oracles._softmax)
+    states = []
+    for mcfg, tcfg, batches in runs:
+        state = model.init_train_state(mcfg, tcfg)
+        for batch in batches:
+            oracles.train_step(batch, state, mcfg, tcfg)
+        states.append(state)
+    monkeypatch.undo()
+    return states
+
+
+def assert_states_equal(state, ref):
+    assert state.step == ref.step
+    assert model.parameter_checksum(state.params) == model.parameter_checksum(ref.params)
+    for name in state.params:
+        assert np.array_equal(state.adam_m[name], ref.adam_m[name]), name
+        assert np.array_equal(state.adam_v[name], ref.adam_v[name]), name
+
+
+class TestWorkspace:
+    def test_reused_across_lengths_and_interleaved_states(self, monkeypatch):
+        synth = SynthConfig(rooms_min=3, rooms_max=6, de_ergonomize_fraction=0.5)
+        corpus = dataset.synth_generate(16, seed=8, cfg=synth)
+        samples = sorted(samples_from(corpus), key=lambda s: len(s[0]))
+        longest = len(samples[-1][0])
+        below = [s for s in samples if len(s[0]) < longest]
+        short, long_, full = samples[:3], below[-3:], samples[-1:] + samples[:2]
+        assert len(short[-1][0]) < len(long_[0][0])
+        # full reaches the whole context; long_ stays below it
+        small = ModelConfig(**{**vars(SMALL), "context_len": longest})
+        micro = ModelConfig(**{**vars(MICRO), "context_len": longest})
+        shrinking = [full, long_, short, long_]  # the largest batch first
+        growing = [long_, short, long_, full]  # grows on the last step
+        runs = [
+            (small, TrainConfig(batch_size=3, guided=True, seed=9), shrinking),
+            (small, TrainConfig(batch_size=3, guided=False, seed=2), growing),
+            (micro, TrainConfig(batch_size=3, guided=True, seed=5), shrinking),
+        ]
+        states = [model.init_train_state(mcfg, tcfg) for mcfg, tcfg, _ in runs]
+        seen = [None] * len(runs)
+        for step in range(4):  # the three states take turns
+            for k, ((mcfg, tcfg, batches), state) in enumerate(zip(runs, states)):
+                model.train_step(batches[step], state, mcfg, tcfg)
+                buffers = dict(state.workspace.buffers)
+                if batches is shrinking and step > 0:
+                    assert buffers.keys() == seen[k].keys()
+                    assert all(buffers[name] is seen[k][name] for name in buffers)
+                seen[k] = buffers
+        assert states[2].workspace.buffers["rows"].dtype == np.float64
+        assert states[2].params["tok_emb"].dtype == np.float64
+
+        for state, ref in zip(states, oracle_states(monkeypatch, runs), strict=True):
+            assert_states_equal(state, ref)
+
+    def test_warm_step_allocates_little(self):
+        # the perfbench recipe: batch 16 of the longest plans, 4 layers,
+        # 64-dim embeddings; every array the step writes lives in the state
+        corpus = dataset.synth_generate(100, seed=1, cfg=SynthConfig(de_ergonomize_fraction=0.5))
+        samples = sorted(samples_from(corpus), key=lambda s: len(s[0]))
+        batch = samples[-16:]
+        assert len(batch[-1][0]) >= 80
+        mcfg = ModelConfig(layers=4, heads=4, embed_dim=64, context_len=128, vocab_size=V.size)
+        tcfg = TrainConfig(batch_size=16, guided=False, lr=1e-3)
+        state = model.init_train_state(mcfg, tcfg)
+        model.train_step(batch, state, mcfg, tcfg)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            model.train_step(batch, state, mcfg, tcfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # about 52 MiB when every step allocated its cache and gradients
+        assert peak - before <= 4 * 2**20
 
 
 class TestTraining:

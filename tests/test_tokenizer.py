@@ -5,7 +5,7 @@ from conftest import make_plan, rect
 
 from ergoplan import tokenizer
 from ergoplan.dataset import SynthConfig, synth_plan
-from ergoplan.errors import ContextOverflow, OutOfRange
+from ergoplan.errors import ContextOverflow
 from ergoplan.plan import RoomType
 from ergoplan.tokenizer import TokenSequence, Vocabulary, decode, encode
 
@@ -127,18 +127,20 @@ def test_decode_is_total_on_fuzz(rng):
 def test_room_vertex_coordinate_classification(tiling_plan):
     seq = encode(tiling_plan, V)
     toks = seq.tokens
+    room_coords = {pos for pos, *_ in tokenizer.room_coordinate_positions(seq, V)}
     # boundary coordinate
-    assert not tokenizer.is_room_vertex_coordinate(seq, 2, V)
+    assert 2 not in room_coords
     # door coordinate
     door_at = toks.index(V.door_token)
-    assert not tokenizer.is_room_vertex_coordinate(seq, door_at + 1, V)
+    assert door_at + 1 not in room_coords
     # kitchen's 3rd coordinate
     kitchen_at = toks.index(V.room_token(RoomType.Kitchen))
-    assert tokenizer.is_room_vertex_coordinate(seq, kitchen_at + 3, V)
+    assert kitchen_at + 3 in room_coords
     # start tokens are not coordinates
-    assert not tokenizer.is_room_vertex_coordinate(seq, kitchen_at, V)
-    with pytest.raises(OutOfRange):
-        tokenizer.is_room_vertex_coordinate(seq, len(seq), V)
+    assert kitchen_at not in room_coords
+    # exactly the coordinates from the first room segment on, all in range
+    first_room = min(i for i, t in enumerate(toks) if V.room_type_of(t) is not None)
+    assert room_coords == {i for i in range(first_room, len(toks)) if V.is_coordinate(toks[i])}
 
 
 def test_room_coordinate_positions_cover_all_rooms(spread_plan):
