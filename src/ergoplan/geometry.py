@@ -7,8 +7,6 @@ of (x, y) integer tuples; the closing edge is implicit.
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateArea, NotRectilinear, SelfIntersecting
 
 
@@ -187,22 +185,34 @@ def rect_decompose(poly):
     return rects
 
 
+def _merged_length(spans):
+    """Total length of the union of (lo, hi) spans."""
+    length, top = 0, -math.inf
+    for lo, hi in sorted(spans):
+        if hi > top:
+            length += hi - max(lo, top)
+            top = hi
+    return length
+
+
+def union_areas(rects, clip=()):
+    """Exact areas (union of rects, its part inside the union of clip) of
+    rectangles (x0, y0, x1, y1): one sweep over x that merges each slab's y
+    spans; the part inside clip follows by inclusion-exclusion."""
+    xs = sorted({x for r in (*rects, *clip) for x in (r[0], r[2])})
+    union = inside = 0
+    for xa, xb in zip(xs, xs[1:]):
+        spans = [(y0, y1) for x0, y0, x1, y1 in rects if x0 <= xa and x1 >= xb]
+        clipped = [(y0, y1) for x0, y0, x1, y1 in clip if x0 <= xa and x1 >= xb]
+        length = _merged_length(spans)
+        union += (xb - xa) * length
+        inside += (xb - xa) * (length + _merged_length(clipped) - _merged_length(spans + clipped))
+    return union, inside
+
+
 def union_area(rooms):
     """Exact area in cells^2 covered by at least one room polygon."""
-    rects = []
-    for room in rooms:
-        rects.extend(rect_decompose(room))
-    if not rects:
-        return 0
-    xs = np.array(sorted({r[0] for r in rects} | {r[2] for r in rects}), dtype=np.int64)
-    ys = np.array(sorted({r[1] for r in rects} | {r[3] for r in rects}), dtype=np.int64)
-    covered = np.zeros((len(xs) - 1, len(ys) - 1), dtype=bool)
-    for x0, y0, x1, y1 in rects:
-        i0, i1 = np.searchsorted(xs, (x0, x1))
-        j0, j1 = np.searchsorted(ys, (y0, y1))
-        covered[i0:i1, j0:j1] = True
-    cell = np.outer(np.diff(xs), np.diff(ys))
-    return int(cell[covered].sum())
+    return union_areas([r for room in rooms for r in rect_decompose(room)])[0]
 
 
 def pairwise_overlap_area(rooms):
@@ -254,6 +264,13 @@ def segment_distance(p1, p2, q1, q2):
     )
 
 
+def _box(p, q):
+    """Box (x0, y0, x1, y1) of an axis-aligned edge (the edge itself), else None."""
+    if p[0] != q[0] and p[1] != q[1]:
+        return None
+    return (*p, *q) if p <= q else (*q, *p)
+
+
 def min_distance(a, b, scale=None):
     """Minimum distance between the boundary point sets of two operands
     (polygons, door segments, or bare loops), converted to meters.
@@ -261,13 +278,26 @@ def min_distance(a, b, scale=None):
     Zero whenever the operands touch, cross, or one encloses the other.
     `scale` is a ScaleConfig (or bare meters-per-cell factor); omit it for
     plain cell units.
+
+    An axis-aligned (or zero-length) edge is its own box, so two of them are
+    as far apart as their boxes; a pair with a diagonal edge (a decoded door
+    may be one) takes segment_distance.
     """
     edges_a = _edges_of(a)
     edges_b = _edges_of(b)
+    boxes_b = [_box(q1, q2) for q1, q2 in edges_b]
     best = math.inf
-    for pa, pb in edges_a:
-        for qa, qb in edges_b:
-            d = segment_distance(pa, pb, qa, qb)
+    for p1, p2 in edges_a:
+        box = _box(p1, p2)
+        for (q1, q2), other in zip(edges_b, boxes_b):
+            if box is None or other is None:
+                d = segment_distance(p1, p2, q1, q2)
+            else:
+                ax0, ay0, ax1, ay1 = box
+                bx0, by0, bx1, by1 = other
+                gx = bx0 - ax1 if bx0 > ax1 else (ax0 - bx1 if ax0 > bx1 else 0)
+                gy = by0 - ay1 if by0 > ay1 else (ay0 - by1 if ay0 > by1 else 0)
+                d = math.hypot(gx, gy)
             if d < best:
                 best = d
             if best == 0.0:
@@ -277,18 +307,12 @@ def min_distance(a, b, scale=None):
     if best > 0.0:
         # no boundary contact: one operand may still lie entirely inside
         # the other, which counts as overlap
-        if _encloses(a, edges_b) or _encloses(b, edges_a):
+        if _encloses(edges_a, edges_b[0][0]) or _encloses(edges_b, edges_a[0][0]):
             best = 0.0
     factor = getattr(scale, "meters_per_cell", scale)
-    if factor is None:
-        factor = 1.0
-    return best * float(factor)
+    return best * float(1.0 if factor is None else factor)
 
 
-def _encloses(container, edges_inner):
-    if not hasattr(container, "vertices") and (
-        hasattr(container, "a") or len(_loop(container)) == 2
-    ):
-        return False
-    loop = container.vertices if hasattr(container, "vertices") else container
-    return point_strictly_inside(edges_inner[0][0], loop)
+def _encloses(edges, point):
+    """Whether a closed loop of these edges strictly encloses point."""
+    return len(edges) > 1 and point_strictly_inside(point, [p for p, _ in edges])

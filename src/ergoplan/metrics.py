@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import ergocost, geometry, tokenizer
-from .errors import ErgoplanError, ProtocolMismatch
+from .errors import DegenerateArea, NotRectilinear, ProtocolMismatch, SelfIntersecting
 from .plan import ScaleConfig
 
 
@@ -98,27 +98,16 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def plan_is_valid(plan):
-    """All polygons (boundary and rooms) rectilinear, simple, nonzero area."""
-    try:
-        geometry.normalize_loop(plan.boundary)
-        for room in plan.rooms:
-            geometry.normalize_loop(room.vertices)
-    except ErgoplanError:
-        return False
-    return True
-
-
 def plan_coverage(plan):
-    """(covered_fraction, overlap_fraction) of the boundary area.
-
-    Covered area is the rooms' union intersected with the boundary, by
-    inclusion-exclusion, so room area outside the boundary covers nothing.
-    """
-    boundary_area = geometry.polygon_area(plan.boundary)
-    union = geometry.union_area(plan.rooms)
-    covered = union + boundary_area - geometry.union_area(plan.rooms + (plan.boundary,))
-    overlap = sum(geometry.polygon_area(r) for r in plan.rooms) - union
+    """(covered_fraction, overlap_fraction) of the boundary area; raises on
+    the first invalid polygon, boundary first. Each polygon is normalized and
+    split into rectangles once. Covered area is the rooms' union inside the
+    boundary, so room area outside the boundary covers nothing."""
+    boundary = geometry.rect_decompose(plan.boundary)
+    rooms = [r for room in plan.rooms for r in geometry.rect_decompose(room.vertices)]
+    boundary_area = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in boundary)
+    union, covered = geometry.union_areas(rooms, boundary)
+    overlap = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in rooms) - union
     return covered / boundary_area, overlap / boundary_area
 
 
@@ -126,26 +115,20 @@ def _tally(sequences, cfg):
     """Per-chunk metric counters; merging tallies is order-independent
     except for the cost sums, which we keep in chunk order."""
     vocab = tokenizer.Vocabulary(cfg.resolution)
-    tally = {
-        "n": len(sequences),
-        "parsed": 0,
-        "valid": 0,
-        "covered": 0,
-        "no_overlap": 0,
-        "costs": [],
-        "perfect": 0,
-    }
+    tally = dict.fromkeys(("parsed", "valid", "covered", "no_overlap", "perfect"), 0)
+    tally.update(n=len(sequences), costs=[])
     for seq in sequences:
         outcome = tokenizer.decode(seq, vocab)
         if not outcome.ok:
             continue
         plan = outcome.plan
         tally["parsed"] += 1
-        if not plan_is_valid(plan):
-            # geometric checks cannot be computed; they count as failed
+        try:
+            covered, overlap = plan_coverage(plan)
+        except (NotRectilinear, SelfIntersecting, DegenerateArea):
+            # an invalid polygon: the geometric checks count as failed
             continue
         tally["valid"] += 1
-        covered, overlap = plan_coverage(plan)
         tally["covered"] += covered >= 1.0 - cfg.coverage_tolerance
         tally["no_overlap"] += overlap <= cfg.overlap_tolerance
         report = ergocost.ergonomic_cost(plan, cfg.scale)
@@ -180,15 +163,8 @@ def evaluate(sequences, cfg=None, reference_boundaries=None, threads=1):
     else:
         tallies = [_tally(sequences, cfg)]
 
-    merged = {
-        "n": sum(t["n"] for t in tallies),
-        "parsed": sum(t["parsed"] for t in tallies),
-        "valid": sum(t["valid"] for t in tallies),
-        "covered": sum(t["covered"] for t in tallies),
-        "no_overlap": sum(t["no_overlap"] for t in tallies),
-        "costs": [c for t in tallies for c in t["costs"]],
-        "perfect": sum(t["perfect"] for t in tallies),
-    }
+    merged = {key: sum(t[key] for t in tallies) for key in tallies[0] if key != "costs"}
+    merged["costs"] = [c for t in tallies for c in t["costs"]]
     n_parsed = merged["parsed"]
     costs = merged["costs"]
     return EvalReport(

@@ -1,8 +1,8 @@
 """Oracles the tests check the package against.
 
 Most of them deliberately take a different route than the package:
-distances via axis-aligned bounding-gap formulas instead of general
-segment projection, areas via unit-cell rasterization instead of sweeps,
+distances via bounding-gap formulas over every edge pair (numpy, no
+enclosure rule), areas via unit-cell rasterization instead of sweeps,
 assignments via exhaustive enumeration, gradients via central differences.
 
 The code at the end is the exception. `_term_values_and_grads` is the
@@ -15,14 +15,22 @@ All are kept unchanged. The package now does the same floating-point
 operations in the same order (one loop over the rule table; a per-plan
 pair table with only the touched pairs re-scored; all rows collapsed at
 once; buffers it owns), so its results must equal these bit for bit, not
-merely to a tolerance. Last, `generate_batch` is the package's earlier
-greedy decoder, which re-runs the full forward pass for every token; the
-key/value-cached decoder must choose the same tokens.
+merely to a tolerance. `generate_batch` is the package's earlier greedy
+decoder, which re-runs the full forward pass for every token; the
+key/value-cached decoder must choose the same tokens. Last, `min_distance`
+projects points onto segments for every edge pair, `union_area`
+rasterizes onto a numpy grid, and `plan_is_valid`, `plan_coverage` and
+`metrics_tally` normalize each polygon up to four times: the package's
+earlier evaluation geometry. The package measures axis-aligned edge pairs
+as box gaps and normalizes each polygon once; its distances, areas and
+reports must equal these exactly.
 """
+
+import math
 
 import numpy as np
 
-from ergoplan import guidance, model, tokenizer
+from ergoplan import ergocost, geometry, guidance, model, tokenizer
 from ergoplan.ergocost import DOOR, RULES, TERMS
 from ergoplan.ergoloss import (
     SoftParams,
@@ -35,6 +43,7 @@ from ergoplan.errors import (
     ArgmaxNotCoordinate,
     ContextOverflow,
     EmptyInput,
+    ErgoplanError,
     NoEligiblePositions,
     NonFiniteLoss,
     OutOfRange,
@@ -784,3 +793,149 @@ def generate_batch(net, prefixes, max_len=None):
             if nxt == vocab.eos:
                 done[i] = True
     return [(tuple(s), not d) for s, d in zip(seqs, done)]
+
+
+# --- earlier evaluation geometry: the bit-identity reference --------------
+#
+# min_distance ran the general segment test for every edge pair; coverage
+# normalized each polygon in plan_is_valid, polygon_area and inside both
+# union_area calls, and union_area painted a numpy grid. `metrics_tally` is
+# the per-chunk tally of metrics.evaluate that called them.
+
+
+def _edges_of(obj):
+    """Edge list of a polygon loop, a segment object, or a bare sequence.
+
+    Bare 2-point sequences are treated as a single open segment; longer
+    sequences as closed loops.
+    """
+    if hasattr(obj, "vertices"):
+        pts = geometry._loop(obj.vertices)
+        return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
+    if hasattr(obj, "a") and hasattr(obj, "b"):
+        a, b = obj.a, obj.b
+        return [((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))]
+    pts = geometry._loop(obj)
+    if len(pts) == 2:
+        return [(pts[0], pts[1])]
+    return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
+
+
+def min_distance(a, b, scale=None):
+    """Minimum distance between the boundary point sets of two operands
+    (polygons, door segments, or bare loops), converted to meters.
+
+    Zero whenever the operands touch, cross, or one encloses the other.
+    `scale` is a ScaleConfig (or bare meters-per-cell factor); omit it for
+    plain cell units.
+    """
+    edges_a = _edges_of(a)
+    edges_b = _edges_of(b)
+    best = math.inf
+    for pa, pb in edges_a:
+        for qa, qb in edges_b:
+            d = geometry.segment_distance(pa, pb, qa, qb)
+            if d < best:
+                best = d
+            if best == 0.0:
+                break
+        if best == 0.0:
+            break
+    if best > 0.0:
+        # no boundary contact: one operand may still lie entirely inside
+        # the other, which counts as overlap
+        if _encloses(a, edges_b) or _encloses(b, edges_a):
+            best = 0.0
+    factor = getattr(scale, "meters_per_cell", scale)
+    if factor is None:
+        factor = 1.0
+    return best * float(factor)
+
+
+def _encloses(container, edges_inner):
+    if not hasattr(container, "vertices") and (
+        hasattr(container, "a") or len(geometry._loop(container)) == 2
+    ):
+        return False
+    loop = container.vertices if hasattr(container, "vertices") else container
+    return geometry.point_strictly_inside(edges_inner[0][0], loop)
+
+
+def union_area(rooms):
+    """Exact area in cells^2 covered by at least one room polygon."""
+    rects = []
+    for room in rooms:
+        rects.extend(geometry.rect_decompose(room))
+    if not rects:
+        return 0
+    xs = np.array(sorted({r[0] for r in rects} | {r[2] for r in rects}), dtype=np.int64)
+    ys = np.array(sorted({r[1] for r in rects} | {r[3] for r in rects}), dtype=np.int64)
+    covered = np.zeros((len(xs) - 1, len(ys) - 1), dtype=bool)
+    for x0, y0, x1, y1 in rects:
+        i0, i1 = np.searchsorted(xs, (x0, x1))
+        j0, j1 = np.searchsorted(ys, (y0, y1))
+        covered[i0:i1, j0:j1] = True
+    cell = np.outer(np.diff(xs), np.diff(ys))
+    return int(cell[covered].sum())
+
+
+def plan_is_valid(plan):
+    """All polygons (boundary and rooms) rectilinear, simple, nonzero area."""
+    try:
+        geometry.normalize_loop(plan.boundary)
+        for room in plan.rooms:
+            geometry.normalize_loop(room.vertices)
+    except ErgoplanError:
+        return False
+    return True
+
+
+def plan_coverage(plan):
+    """(covered_fraction, overlap_fraction) of the boundary area.
+
+    Covered area is the rooms' union intersected with the boundary, by
+    inclusion-exclusion, so room area outside the boundary covers nothing.
+    """
+    boundary_area = geometry.polygon_area(plan.boundary)
+    union = union_area(plan.rooms)
+    covered = union + boundary_area - union_area(plan.rooms + (plan.boundary,))
+    overlap = sum(geometry.polygon_area(r) for r in plan.rooms) - union
+    return covered / boundary_area, overlap / boundary_area
+
+
+def metrics_tally(sequences, cfg):
+    """Per-chunk metric counters; merging tallies is order-independent
+    except for the cost sums, which we keep in chunk order.
+
+    Costs go through ergocost.ergonomic_cost, whose distances come from
+    ergocost.min_distance; patch that to this module's min_distance for the
+    earlier evaluation as a whole.
+    """
+    vocab = tokenizer.Vocabulary(cfg.resolution)
+    tally = {
+        "n": len(sequences),
+        "parsed": 0,
+        "valid": 0,
+        "covered": 0,
+        "no_overlap": 0,
+        "costs": [],
+        "perfect": 0,
+    }
+    for seq in sequences:
+        outcome = tokenizer.decode(seq, vocab)
+        if not outcome.ok:
+            continue
+        plan = outcome.plan
+        tally["parsed"] += 1
+        if not plan_is_valid(plan):
+            # geometric checks cannot be computed; they count as failed
+            continue
+        tally["valid"] += 1
+        covered, overlap = plan_coverage(plan)
+        tally["covered"] += covered >= 1.0 - cfg.coverage_tolerance
+        tally["no_overlap"] += overlap <= cfg.overlap_tolerance
+        report = ergocost.ergonomic_cost(plan, cfg.scale)
+        if report.total is not None:
+            tally["costs"].append(report.total)
+            tally["perfect"] += report.perfect
+    return tally

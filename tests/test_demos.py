@@ -1,12 +1,14 @@
 """Smoke-run the fast narrative demos so they cannot rot unnoticed.
 
 Each demo asserts its own claims (invariances, exact gradients, round
-trips); running it in-process takes well under a second. Not run here:
-06_train_toy_model.py trains two models for several minutes, and
-07_render_gallery.py writes SVG files into demos/out/.
+trips); running it in-process takes well under a second. The render
+gallery runs from a copy under a temporary directory, so the SVG files it
+writes next to itself stay out of the tree. Not run here:
+06_train_toy_model.py trains two models for several minutes.
 """
 
 import runpy
+import shutil
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,12 @@ FAST_DEMOS = (
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_render_gallery_runs(tmp_path, capsys):
+    demo = tmp_path / "07_render_gallery.py"
+    shutil.copy(DEMOS / demo.name, demo)
+    runpy.run_path(str(demo), run_name="__main__")
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert len(written) == 12 and all(name.endswith(".svg") for name in written)
+    assert "wrote 12 files" in capsys.readouterr().out

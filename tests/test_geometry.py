@@ -1,7 +1,10 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import histogram_polygon, rect
 from oracles import naive_distance, raster_union_and_overlap
@@ -9,6 +12,43 @@ from oracles import naive_distance, raster_union_and_overlap
 from ergoplan import geometry
 from ergoplan.errors import DegenerateArea, NotRectilinear, SelfIntersecting
 from ergoplan.plan import DoorSegment, ScaleConfig
+
+
+def same_bits(x, y):
+    return x.hex() == y.hex()
+
+
+def distance_operands(seed):
+    """A skyline polygon based at (40, 40) and operands around it: skylines
+    apart from it, touching its right side and nested in a rectangle around
+    it, and doors from one point that are horizontal, vertical, diagonal or
+    zero-length, as DoorSegments and as bare point pairs."""
+    rng = np.random.default_rng(seed)
+    a = histogram_polygon(rng, columns=int(rng.integers(1, 6)), base=(40, 40))
+    width = max(x for x, _ in a) - 40
+    others = [
+        histogram_polygon(rng, base=(int(rng.integers(0, 90)), int(rng.integers(0, 90)))),
+        histogram_polygon(rng, base=(40 + width, int(rng.integers(36, 44)))),
+        histogram_polygon(rng, columns=2, max_height=4, base=(41, 41)),
+        rect(30, 30, 70, 70),
+    ]
+    x, y = int(rng.integers(30, 70)), int(rng.integers(30, 70))
+    dx, dy = int(rng.integers(1, 6)), int(rng.integers(-5, 6))
+    for b in ((x + dx, y), (x, y + dy), (x + dx, y + dy), (x, y)):
+        others += [DoorSegment((x, y), b), ((x, y), b)]
+    return a, others
+
+
+def skyline_variants(seed):
+    """A skyline polygon and loops of the same region: reversed, started at
+    another vertex, and with a collinear midpoint on its base."""
+    rng = np.random.default_rng(seed)
+    base = (int(rng.integers(0, 50)), int(rng.integers(0, 50)))
+    loop = histogram_polygon(rng, columns=int(rng.integers(1, 7)), base=base)
+    k = int(rng.integers(len(loop)))
+    (x0, y0), (x1, _) = loop[-1], loop[0]  # the base runs from the last vertex back to the first
+    with_midpoint = loop + (((x0 + x1) // 2, y0),) if abs(x0 - x1) > 1 else loop
+    return loop, (loop[::-1], loop[k:] + loop[:k], with_midpoint)
 
 
 class TestNormalize:
@@ -43,17 +83,21 @@ class TestNormalize:
         with pytest.raises(SelfIntersecting):
             geometry.normalize_loop(crossing)
 
-    def test_idempotent_on_random_polygons(self, rng):
-        for _ in range(50):
-            loop = histogram_polygon(rng, columns=int(rng.integers(2, 6)))
-            once = geometry.normalize_loop(loop)
-            assert geometry.normalize_loop(once) == once
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_idempotent_on_random_polygons(self, seed):
+        loop, variants = skyline_variants(seed)
+        once = geometry.normalize_loop(loop)
+        assert geometry.normalize_loop(once) == once
+        assert geometry.signed_area2(once) > 0  # counter-clockwise
+        for variant in variants:
+            assert geometry.normalize_loop(variant) == once
 
-    def test_canonical_start_is_lexicographic_min(self, rng):
-        for _ in range(20):
-            loop = histogram_polygon(rng)
-            out = geometry.normalize_loop(loop)
-            assert out[0] == min(out)
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_canonical_start_is_lexicographic_min(self, seed):
+        out = geometry.normalize_loop(skyline_variants(seed)[0])
+        assert out[0] == min(out)
 
 
 class TestArea:
@@ -86,20 +130,18 @@ class TestRectDecompose:
         total = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in rects)
         assert total == geometry.polygon_area(u_shape)
 
-    def test_disjoint_cover_on_random_polygons(self, rng):
-        for _ in range(50):
-            loop = histogram_polygon(rng, columns=int(rng.integers(2, 7)))
-            rects = geometry.rect_decompose(loop)
-            total = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in rects)
-            assert total == geometry.polygon_area(loop)
-            # pairwise disjoint interiors
-            for i in range(len(rects)):
-                for j in range(i + 1, len(rects)):
-                    ax0, ay0, ax1, ay1 = rects[i]
-                    bx0, by0, bx1, by1 = rects[j]
-                    w = min(ax1, bx1) - max(ax0, bx0)
-                    h = min(ay1, by1) - max(ay0, by0)
-                    assert w <= 0 or h <= 0
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_disjoint_cover_on_random_polygons(self, seed):
+        loop = skyline_variants(seed)[0]
+        rects = geometry.rect_decompose(loop)
+        total = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in rects)
+        assert total == geometry.polygon_area(loop) == abs(geometry.signed_area2(loop)) // 2
+        # nonempty, with pairwise disjoint interiors
+        for i, (ax0, ay0, ax1, ay1) in enumerate(rects):
+            assert ax0 < ax1 and ay0 < ay1
+            for bx0, by0, bx1, by1 in rects[i + 1 :]:
+                assert min(ax1, bx1) <= max(ax0, bx0) or min(ay1, by1) <= max(ay0, by0)
 
 
 class TestMinDistance:
@@ -126,12 +168,28 @@ class TestMinDistance:
         brute = np.min(np.hypot(*(sa[:, None] - sb[None]).transpose(2, 0, 1)))
         assert d == pytest.approx(float(brute), abs=1e-9)
 
-    def test_symmetry_and_self_distance(self, rng):
-        for _ in range(30):
-            a = histogram_polygon(rng, base=(0, 0))
-            b = histogram_polygon(rng, base=(int(rng.integers(0, 30)), int(rng.integers(0, 30))))
-            assert geometry.min_distance(a, b) == geometry.min_distance(b, a)
-            assert geometry.min_distance(a, a) == 0.0
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_symmetry_and_self_distance(self, seed):
+        """Symmetric, zero to itself, and the brute-force minimum of
+        segment_distance over every edge pair, or zero when one operand
+        lies strictly inside the other."""
+        a, others = distance_operands(seed)
+        assert geometry.min_distance(a, a) == 0.0
+        edges_a = list(zip(a, a[1:] + a[:1]))
+        for b in others:
+            d = geometry.min_distance(a, b)
+            assert d == geometry.min_distance(b, a)
+            if isinstance(b, DoorSegment) or len(b) == 2:
+                edges_b = [(b.a, b.b) if isinstance(b, DoorSegment) else tuple(b)]
+            else:
+                edges_b = list(zip(b, b[1:] + b[:1]))
+            brute = min(geometry.segment_distance(*e, *f) for e in edges_a for f in edges_b)
+            if geometry.point_strictly_inside(edges_b[0][0], a) or (
+                len(edges_b) > 1 and geometry.point_strictly_inside(a[0], b)
+            ):
+                brute = 0.0
+            assert d == pytest.approx(brute, abs=1e-12)
 
     def test_exactly_symmetric_on_touching_nested_and_door_pairs(self, rng):
         # ergocost memoizes one distance per unordered pair, so the operand
@@ -221,3 +279,27 @@ class TestUnionOverlap:
             union = geometry.union_area(rooms)
             assert union <= total
             assert (union == total) == (geometry.pairwise_overlap_area(rooms) == 0)
+
+
+class TestOracleIdentity:
+    """Box gaps and the union sweep against the earlier projection-form
+    distance and numpy-grid union, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_min_distance(self, seed, scaled):
+        scale = ScaleConfig() if scaled else None
+        a, others = distance_operands(seed)
+        for b in others:
+            for p, q in ((a, b), (b, a)):
+                assert same_bits(geometry.min_distance(p, q, scale), oracles.min_distance(p, q, scale))
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_union_area(self, seed, n):
+        rng = np.random.default_rng(seed)
+        rooms = [
+            histogram_polygon(rng, columns=int(rng.integers(1, 5)), base=tuple(map(int, rng.integers(0, 16, 2))))
+            for _ in range(n)
+        ]
+        assert geometry.union_area(rooms) == oracles.union_area(rooms)

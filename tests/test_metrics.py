@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import histogram_polygon, make_plan, rect
+import oracles
 
 from ergoplan import dataset, ergocost, geometry, metrics, tokenizer
-from ergoplan.errors import ProtocolMismatch
+from ergoplan.errors import ProtocolMismatch, SelfIntersecting
 from ergoplan.metrics import EvalConfig, compare, evaluate
-from ergoplan.plan import RoomPolygon, RoomType, ScaleConfig
+from ergoplan.plan import DoorSegment, RoomPolygon, RoomType, ScaleConfig
 
 V = tokenizer.Vocabulary(256)
 CFG = EvalConfig(scale=ScaleConfig(1.0))
@@ -230,3 +231,115 @@ class TestCoverageProperties:
         covered, overlap = metrics.plan_coverage(skyline_plan(seed, bases))
         assert 0.0 <= covered <= 1.0
         assert overlap >= 0.0
+
+
+def oracle_evaluate(seqs, cfg):
+    """metrics.evaluate with the earlier per-chunk tally (validity, coverage
+    and normalization as they were) and the earlier distance kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_tally", oracles.metrics_tally)
+        patch.setattr(ergocost, "min_distance", oracles.min_distance)
+        return metrics.evaluate(seqs, cfg)
+
+
+def oracle_cost(plan, scale):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ergocost, "min_distance", oracles.min_distance)
+        return ergocost.ergonomic_cost(plan, scale)
+
+
+def mixed_sequences(seed):
+    """Encoded plans of four kinds: clean synthetic tilings, tilings with a
+    moved room edge (unparsable when the edge leaves the grid), skyline
+    rooms that overlap and cross the boundary, and tilings with one room
+    vertex off its axis (invalid); and one sequence with a coordinate
+    dropped (unparsable)."""
+    rng = np.random.default_rng(seed)
+    cfg = dataset.SynthConfig(de_ergonomize_fraction=0.5)
+    plans = [dataset.synth_plan(seed + i, cfg) for i in range(3)]
+    plans += [
+        moved_edge_plan(seed + i, int(rng.integers(8)), int(rng.integers(2)), *rng.integers(0, 2, 2) == 1)
+        for i in range(3)
+    ]
+    plans += [skyline_plan(seed + i, [tuple(map(int, rng.integers(0, 60, 2)))]) for i in range(1, 4)]
+    seqs = [list(tokenizer.encode(p, V).tokens) for p in plans]
+    for i in range(3):
+        bad = list(tokenizer.encode(dataset.synth_plan(seed + 10 + i, cfg), V).tokens)
+        bad[bad.index(V.door_token) + 6] += 1  # the first room's first x leaves its edge
+        seqs.append(bad)
+    seqs.append(seqs[0][:5] + seqs[0][6:])
+    return seqs
+
+
+class TestOracleIdentity:
+    """Coverage, costs and reports equal the earlier evaluation exactly."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(0, 7),
+        st.integers(0, 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_coverage_moved_edge(self, seed, room, axis, upper, outward):
+        plan = moved_edge_plan(seed, room, axis, upper, outward)
+        assert metrics.plan_coverage(plan) == oracles.plan_coverage(plan)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(st.tuples(st.integers(-8, 60), st.integers(-8, 60)), min_size=1, max_size=4),
+    )
+    def test_coverage_skyline_rooms(self, seed, bases):
+        plan = skyline_plan(seed, bases)
+        assert metrics.plan_coverage(plan) == oracles.plan_coverage(plan)
+
+    @settings(max_examples=15)
+    @given(st.integers(0, 2**31 - 1))
+    def test_evaluate(self, seed):
+        seqs = mixed_sequences(seed)
+        report = evaluate(seqs, CFG)
+        assert report.n_parsed < report.n_sequences and report.n_valid <= report.n_parsed - 3
+        assert report == oracle_evaluate(seqs, CFG)
+
+    def test_invalid_room_raises(self):
+        # a pinched room: the boundary is checked first, then rooms in order
+        plan = make_plan(
+            rect(0, 0, 32, 32),
+            ((0, 4), (0, 8)),
+            [(RoomType.Kitchen, ((0, 0), (8, 0), (8, 8), (16, 8), (16, 16), (8, 16), (8, 8), (0, 8)))],
+        )
+        with pytest.raises(SelfIntersecting):
+            metrics.plan_coverage(plan)
+        assert not oracles.plan_is_valid(plan)
+
+
+@pytest.mark.parametrize(
+    "door",
+    [
+        lambda x0, y0, x1, y1: ((x0, y0), (x1, y1)),  # diagonal, across every room
+        lambda x0, y0, x1, y1: ((x0 + 1, y0 + 2), (x0 + 4, y0 + 3)),  # short diagonal in a corner room
+        lambda x0, y0, x1, y1: ((x1 + 3, y0), (x1 + 7, y0 + 9)),  # diagonal outside the plan
+        lambda x0, y0, x1, y1: ((x0, y0 + 1), (x0, y0 + 1)),  # a == b on the boundary
+        lambda x0, y0, x1, y1: (((x0 + x1) // 2 + 1, (y0 + y1) // 2), ((x0 + x1) // 2 + 1, (y0 + y1) // 2)),
+    ],
+    ids=["diagonal-across", "diagonal-corner", "diagonal-outside", "point-on-boundary", "point-inside"],
+)
+def test_degenerate_door_is_costed_as_before(door):
+    """Validity ignores the door, so a generated plan whose door is diagonal
+    or a single point is still costed; such door edges take the general
+    segment distance (a point is its own box)."""
+    for seed in range(4):
+        plan = dataset.synth_plan(seed, dataset.SynthConfig(de_ergonomize_fraction=0.5))
+        xs, ys = [x for x, _ in plan.boundary], [y for _, y in plan.boundary]
+        a, b = door(min(xs), min(ys), max(xs), max(ys))
+        seq = list(tokenizer.encode(dataclasses.replace(plan, door=DoorSegment(a, b)), V).tokens)
+        decoded = tokenizer.decode(seq, V).plan
+        assert (decoded.door.a, decoded.door.b) == (a, b)
+        report = ergocost.ergonomic_cost(decoded, CFG.scale)
+        assert report.applicable_terms["entrances"]
+        assert report == oracle_cost(decoded, CFG.scale)
+        evaluated = evaluate([seq], CFG)
+        assert evaluated.n_valid == 1
+        assert evaluated == oracle_evaluate([seq], CFG)
