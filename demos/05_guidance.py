@@ -48,6 +48,6 @@ print(f"\nplan with {len(plan.rooms)} rooms: {len(result.eligible_positions)} el
 print(f"ground-truth loss {gt_loss:.3f} m -> alpha {alpha(gt_loss, cfg):.3f}")
 print(f"substituted loss (mean over positions): {result.loss:.3f} m")
 some_pos = result.eligible_positions[0][0]
-grad = result.row_grads[some_pos]
+grad = result.grads[0]  # d loss / d row of the first eligible position
 top = np.argsort(np.abs(grad))[::-1][:3]
 print(f"strongest gradient entries at position {some_pos}: ids {top.tolist()}")

@@ -36,11 +36,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _env_seed():
+def _env_seed(parser):
+    raw = os.environ.get("ERGOPLAN_SEED", "0")
     try:
-        return int(os.environ.get("ERGOPLAN_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        parser.error(f"ERGOPLAN_SEED must be an integer, got {raw!r}")
 
 
 def read_config_file(path):
@@ -331,15 +332,25 @@ def _train_samples(corpus_dir):
     return samples
 
 
+def _on_off(value):
+    if value not in ("on", "off"):
+        raise ValueError(value)
+    return value
+
+
 def _cmd_train(args):
     file_cfg = read_config_file(args.config) if args.config else {}
 
     def opt(flag, key, cast, default):
-        if flag is not None:
-            return flag
+        # a file value is consumed and checked even when a flag overrides it
+        value = default
         if key in file_cfg:
-            return cast(file_cfg[key])
-        return default
+            raw = file_cfg.pop(key)
+            try:
+                value = cast(raw)
+            except ValueError:
+                raise ErgoplanError(f"config key {key}: bad value {raw!r}") from None
+        return value if flag is None else flag
 
     samples = _train_samples(args.corpus)
     if not samples:
@@ -357,12 +368,14 @@ def _cmd_train(args):
         steps=opt(args.steps, "steps", int, 1000),
         batch_size=opt(args.batch_size, "batch_size", int, 16),
         lr=opt(args.lr, "lr", float, 3e-4),
-        guided=opt(args.guided, "guided", str, "on") == "on",
+        guided=opt(args.guided, "guided", _on_off, "on") == "on",
         seed=args.seed,
     )
     guidance_cfg = guidance.GuidanceConfig(
         resolution=resolution, gamma=opt(args.gamma, "gamma", float, 30.0)
     )
+    if file_cfg:
+        raise ErgoplanError(f"unknown config keys in {args.config}: {', '.join(sorted(file_cfg))}")
     echo = {
         "model": vars(model_cfg),
         "guided": train_cfg.guided,
@@ -490,7 +503,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is None:
-        args.seed = _env_seed()
+        args.seed = _env_seed(parser)
     try:
         return _COMMANDS[args.command](args)
     except (ErgoplanError, OSError, json.JSONDecodeError) as exc:

@@ -365,12 +365,3 @@ def synth_generate(n, seed=0, cfg=None):
     ids = [f"synth-{seed}-{i:05d}" for i in range(n)]
     return Corpus(plans=plans, ids=ids, provenance=f"synth(seed={seed}, n={n})")
 
-
-def corpus_mean_cost(corpus, scale=None):
-    """Mean hard ergonomic cost over plans where it applies."""
-    costs = [
-        report.total
-        for report in (ergocost.ergonomic_cost(p, scale) for p in corpus.plans)
-        if report.total is not None
-    ]
-    return float(np.mean(costs)) if costs else None

@@ -47,7 +47,6 @@ RULES = (
     ("balconies", (RoomType.Balcony,), BALCONY_NEIGHBORS, CLIENT),
 )
 TERMS = tuple(rule[0] for rule in RULES)
-_RULE = dict(zip(TERMS, RULES))
 
 
 @dataclass(frozen=True)
@@ -125,42 +124,10 @@ def _charges(plan, rule, distance):
     return [(t, sum(dists) / len(dists)) for t, dists in sorted(per_target.items())]
 
 
-def nearest_assignment(plan, client_types, target_type, scale):
-    """Map each client room index to its nearest target room index.
-
-    Ties break toward the lowest target index in plan order, which keeps the
-    assignment deterministic.
-    """
-    return _nearest(plan, client_types, (target_type,), _plan_distance(plan, scale))
-
-
-def entrance_cost(plan, scale=None):
-    """[(entrance_index, meters to the front door)] for every entrance room."""
-    return _charges(plan, _RULE["entrances"], _plan_distance(plan, scale))
-
-
-def kitchen_cost(plan, scale=None):
-    """[(kitchen_index, mean meters to its assigned entrance/dining rooms)]."""
-    return _charges(plan, _RULE["kitchens"], _plan_distance(plan, scale))
-
-
-def bathroom_cost(plan, scale=None):
-    """[(bathroom_index, mean meters to its assigned client rooms)]."""
-    return _charges(plan, _RULE["bathrooms"], _plan_distance(plan, scale))
-
-
-def balcony_cost(plan, scale=None):
-    """[(balcony_index, meters to the nearest preferred neighbor room)].
-
-    Empty when the plan has no room of a preferred neighbor type.
-    """
-    return _charges(plan, _RULE["balconies"], _plan_distance(plan, scale))
-
-
 def ergonomic_cost(plan, scale=None):
     """Full ErgoReport: the mean per-room charge over all four terms."""
     distance = _plan_distance(plan, scale)
-    per_term = {term: _charges(plan, rule, distance) for term, rule in _RULE.items()}
+    per_term = {rule[0]: _charges(plan, rule, distance) for rule in RULES}
     entries = [
         (i, plan.rooms[i].kind, cost) for charges in per_term.values() for i, cost in charges
     ]

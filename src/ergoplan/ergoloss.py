@@ -111,18 +111,6 @@ def _as_vertex_plan(plan_like):
     return VertexPlan.from_plan(plan_like)
 
 
-def softmin_weights(e, beta=10.0):
-    """Softmax of the negated, temperature-scaled values; sums to 1 over all
-    elements of `e` (matrices are weighted as a whole)."""
-    arr = np.asarray(e, dtype=float)
-    if arr.size == 0:
-        raise EmptyInput("softmin over an empty value set")
-    z = -beta * arr
-    z = z - z.max()
-    w = np.exp(z)
-    return w / w.sum()
-
-
 def _soft_combine(values, beta):
     """Softmin-weighted average per row of `values` (V, k), with derivative.
 
@@ -256,30 +244,6 @@ def _as_table(plan, params):
             raise ValueError("the pair table was built with other soft parameters")
         return plan
     return PairTable(plan, params)
-
-
-def loss_entrances(plan, params=None):
-    """Mean soft distance from each entrance room to the door; None if the
-    plan has no entrance."""
-    return _as_table(plan, params).values["entrances"]
-
-
-def loss_kitchens(plan, params=None):
-    """Mean, over entrance/dining rooms, of the soft minimum of their soft
-    distances to the kitchens; None unless both sides exist."""
-    return _as_table(plan, params).values["kitchens"]
-
-
-def loss_bathrooms(plan, params=None):
-    """As loss_kitchens, with entrance/living/master/second rooms as clients
-    and bathrooms as targets."""
-    return _as_table(plan, params).values["bathrooms"]
-
-
-def loss_balconies(plan, params=None):
-    """Mean, over balconies, of the soft minimum of soft distances to the
-    preferred neighbor rooms; None unless both sides exist."""
-    return _as_table(plan, params).values["balconies"]
 
 
 def ergonomic_loss(plan, params=None):

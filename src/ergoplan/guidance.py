@@ -25,15 +25,12 @@ class GuidanceConfig:
 
     sigma is the Gaussian window width in normalized [0, 1) coordinate
     units (defaults to one quantization step, 1/resolution). gamma converts
-    a ground-truth plan loss into the mixing weight alpha. window optionally
-    truncates the Gaussian to +-window token ids around the argmax.
+    a ground-truth plan loss into the mixing weight alpha.
     """
 
     resolution: int = 256
     sigma: float | None = None
     gamma: float = 30.0
-    window: int | None = None
-    substitute_all: bool = True
 
     def __post_init__(self):
         if self.sigma is not None and not self.sigma > 0:
@@ -49,13 +46,10 @@ class GuidanceConfig:
 @functools.cache
 def _gaussian_windows(cfg):
     """Read-only (resolution, resolution) table: row c is the Gaussian
-    window over coordinate ids centred on id c, truncated to +-window."""
-    ids = np.arange(cfg.resolution)
-    values = ids / cfg.resolution
+    window over coordinate ids centred on id c."""
+    values = np.arange(cfg.resolution) / cfg.resolution
     center = values[:, None]
     weights = np.exp(-0.5 * ((values - center) / cfg.effective_sigma) ** 2)
-    if cfg.window is not None:
-        weights = np.where(np.abs(ids - ids[:, None]) <= cfg.window, weights, 0.0)
     weights.flags.writeable = False
     return weights
 
@@ -87,13 +81,7 @@ def collapse(rows, cfg):
 def expected_token(row, cfg):
     """Continuous expected coordinate in [0, 1): the probability- and
     Gaussian-weighted mean of coordinate values around the argmax."""
-    return expected_token_grad(row, cfg)[0]
-
-
-def expected_token_grad(row, cfg):
-    """(v_bar, d v_bar / d row) of one row; see collapse."""
-    v_bar, grad = collapse(np.asarray(row)[None], cfg)
-    return float(v_bar[0]), grad[0]
+    return float(collapse(np.asarray(row)[None], cfg)[0][0])
 
 
 @dataclass
@@ -108,11 +96,6 @@ class PositionalLoss:
     def positions(self):
         return np.array([pos for pos, *_ in self.eligible_positions])
 
-    @property
-    def row_grads(self):
-        """position -> (vocab,) array, d loss / d row."""
-        return dict(zip(self.positions.tolist(), self.grads))
-
 
 def eligible_positions(gt_seq, prob_rows, vocab, cfg):
     """Positions where the ground truth is a room vertex coordinate and the
@@ -125,24 +108,20 @@ def eligible_positions(gt_seq, prob_rows, vocab, cfg):
     ]
 
 
-def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None, rng=None):
+def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None):
     """Teacher-forced ergonomic loss through expected-token substitution.
 
     gt_plan is a FloorPlan, a VertexPlan or an ergoloss.PairTable (built
     with `params`, when given). prob_rows[t] must be the model's
     distribution for the token at position t (predicted from the prefix
     before t). Each eligible position is substituted independently and the
-    losses averaged; with cfg.substitute_all false, a single random eligible
-    position is used instead (cheaper, noisier). Raises NoEligiblePositions
-    when no position qualifies or no loss term applies to the plan.
+    losses averaged. Raises NoEligiblePositions when no position qualifies
+    or no loss term applies to the plan.
     """
     vocab = tokenizer.Vocabulary(cfg.resolution)
     eligible = eligible_positions(gt_seq, prob_rows, vocab, cfg)
     if not eligible:
         raise NoEligiblePositions("no substitutable coordinate positions")
-    if not cfg.substitute_all:
-        rng = rng or np.random.default_rng()
-        eligible = [eligible[int(rng.integers(len(eligible)))]]
 
     positions, rooms, verts, axes = np.array(eligible).T
     v_bar, dv_bar = collapse(np.asarray(prob_rows)[positions], cfg)
@@ -181,15 +160,3 @@ class MixedLoss:
             "total": self.total,
         }
 
-
-def combined_loss(cross_entropy, ergo, alpha_value):
-    """Linear mix of the two losses with the data-dependent weight."""
-    if not 0.0 <= alpha_value <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    total = (1.0 - alpha_value) * cross_entropy + alpha_value * ergo
-    return MixedLoss(
-        cross_entropy=float(cross_entropy),
-        ergo=float(ergo),
-        alpha=float(alpha_value),
-        total=float(total),
-    )

@@ -138,19 +138,13 @@ def _tally(sequences, cfg):
     return tally
 
 
-def evaluate(sequences, cfg=None, reference_boundaries=None, threads=1):
+def evaluate(sequences, cfg=None, threads=1):
     """EvalReport over raw token sequences (lists of ids or TokenSequences).
 
-    reference_boundaries, when given, must match the corpus length; it is a
-    protocol check for conditioned generation runs and is echoed in the
-    report config. threads > 1 evaluates fixed chunks in a process pool and
-    merges in chunk order, so results are identical to a serial run.
+    threads > 1 evaluates fixed chunks in a process pool and merges in chunk
+    order, so results are identical to a serial run.
     """
     cfg = cfg or EvalConfig()
-    if reference_boundaries is not None and len(reference_boundaries) != len(sequences):
-        raise ProtocolMismatch(
-            f"{len(sequences)} sequences vs {len(reference_boundaries)} reference boundaries"
-        )
     sequences = [list(getattr(s, "tokens", s)) for s in sequences]
     n = len(sequences)
     if threads > 1 and n > 1:
@@ -184,7 +178,6 @@ def evaluate(sequences, cfg=None, reference_boundaries=None, threads=1):
             "meters_per_cell": cfg.scale.meters_per_cell,
             "coverage_tolerance": cfg.coverage_tolerance,
             "overlap_tolerance": cfg.overlap_tolerance,
-            "conditioned": reference_boundaries is not None,
         },
     )
 

@@ -659,7 +659,6 @@ def batch_loss_and_grads(
     guidance_cfg=None,
     soft_params=None,
     alpha_cache=None,
-    rng=None,
     workspace=None,
 ):
     """Mixed loss over a batch of (TokenSequence, FloorPlan) samples and its
@@ -669,13 +668,19 @@ def batch_loss_and_grads(
     and the sample's ground-truth plan loss is positive, the expected-token
     plan loss; the two are mixed by the sample's alpha and averaged over the
     batch. The gradients are views into `workspace` (a fresh one when None)
-    and stay valid until it is used again.
+    and stay valid until it is used again. Guided training needs the
+    guidance resolution to be the model vocabulary's (ValueError).
     """
     guidance_cfg = guidance_cfg or guidance.GuidanceConfig()
     soft_params = soft_params or ergoloss.SoftParams()
     alpha_cache = alpha_cache if alpha_cache is not None else {}
     ws = workspace if workspace is not None else _Workspace()
-    vocab = tokenizer.Vocabulary(guidance_cfg.resolution)
+    vocab = tokenizer.Vocabulary.for_size(model_cfg.vocab_size)
+    if train_cfg.guided and guidance_cfg.resolution != vocab.resolution:
+        raise ValueError(
+            f"guidance resolution {guidance_cfg.resolution} does not match the "
+            f"model vocabulary's resolution {vocab.resolution}"
+        )
     tokens, xy, vert = _pad_batch(batch, vocab, model_cfg.max_vertex_index)
     b, t = tokens.shape
 
@@ -721,7 +726,7 @@ def batch_loss_and_grads(
         if a > 0.0:
             try:
                 result = guidance.positional_ergo_loss(
-                    table, seq, rows[i, : len(seq)], guidance_cfg, soft_params, rng=rng
+                    table, seq, rows[i, : len(seq)], guidance_cfg, soft_params
                 )
             except NoEligiblePositions:
                 alphas[i] = 0.0
@@ -772,7 +777,6 @@ def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_param
         guidance_cfg,
         soft_params,
         alpha_cache=state.alpha_cache,
-        rng=state.rng,
         workspace=ws,
     )
     if not np.isfinite(loss.total):

@@ -389,9 +389,6 @@ def _coordinate_weights(row, cfg):
     center = top / cfg.resolution
     sigma = cfg.effective_sigma
     weights = np.exp(-0.5 * ((values - center) / sigma) ** 2)
-    if cfg.window is not None:
-        ids = np.arange(cfg.resolution)
-        weights = np.where(np.abs(ids - top) <= cfg.window, weights, 0.0)
     return top, values, weights
 
 
@@ -408,7 +405,7 @@ def expected_token_grad(row, cfg):
     return v_bar, grad
 
 
-def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None, rng=None):
+def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None):
     """Per-row expected-token substitution; returns (mean loss, {position:
     d loss / d row}, eligible positions)."""
     params = params or SoftParams()
@@ -419,9 +416,6 @@ def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None, rng=None)
             eligible.append((pos, room_idx, vert_idx, axis))
     if not eligible:
         raise NoEligiblePositions("no substitutable coordinate positions")
-    if not cfg.substitute_all:
-        rng = rng or np.random.default_rng()
-        eligible = [eligible[int(rng.integers(len(eligible)))]]
 
     vplan = VertexPlan.from_plan(gt_plan)
     substitutions = []
@@ -441,9 +435,7 @@ def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None, rng=None)
     return float(losses.mean()), row_grads, eligible
 
 
-def batch_loss_and_grads(
-    batch, params, model_cfg, train_cfg, guidance_cfg=None, soft_params=None, rng=None
-):
+def batch_loss_and_grads(batch, params, model_cfg, train_cfg, guidance_cfg=None, soft_params=None):
     """The earlier mixed loss and gradient: alpha from a full soft-loss
     evaluation per plan, guidance on a zero-padded copy of each sample's
     rows, and one chain-rule step per eligible row."""
@@ -484,9 +476,7 @@ def batch_loss_and_grads(
             rows = np.zeros((len(seq), model_cfg.vocab_size))
             rows[1 : len(seq)] = probs[i, : len(seq) - 1]
             try:
-                loss_i, row_grads, _ = positional_ergo_loss(
-                    plan, seq, rows, guidance_cfg, soft_params, rng=rng
-                )
+                loss_i, row_grads, _ = positional_ergo_loss(plan, seq, rows, guidance_cfg, soft_params)
             except NoEligiblePositions:
                 alphas[i] = 0.0
                 dlogits[i, pos_idx] = 1.0 / (b * n_valid) * dce
@@ -722,7 +712,6 @@ def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_param
         guidance_cfg,
         soft_params,
         alpha_cache=state.alpha_cache,
-        rng=state.rng,
     )
     if not np.isfinite(loss.total):
         raise NonFiniteLoss(

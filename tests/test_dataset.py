@@ -139,6 +139,8 @@ class TestSynth:
     def test_de_ergonomized_corpus_costs_more(self):
         clean = dataset.synth_generate(60, seed=9, cfg=SynthConfig(de_ergonomize_fraction=0.0))
         messy = dataset.synth_generate(60, seed=9, cfg=SynthConfig(de_ergonomize_fraction=0.5))
-        mean_clean = dataset.corpus_mean_cost(clean)
-        mean_messy = dataset.corpus_mean_cost(messy)
+        mean_clean, mean_messy = (
+            np.mean([ergocost.ergonomic_cost(p).total for p in corpus.plans])
+            for corpus in (clean, messy)
+        )
         assert mean_messy > mean_clean

@@ -13,8 +13,27 @@ from ergoplan.plan import FloorPlan, RoomType, ScaleConfig
 CELLS = ScaleConfig(1.0)
 
 
+def charges(plan, kind):
+    """[(room index, cost)] of the rooms of one kind that ergonomic_cost
+    charges, in report order."""
+    return [(i, cost) for i, k, cost in ergocost.ergonomic_cost(plan, CELLS).entries if k == kind]
+
+
+def test_each_charged_kind_belongs_to_one_rule():
+    charged = [
+        kinds if side == ergocost.CLIENT else targets
+        for _, kinds, targets, side in ergocost.RULES
+    ]
+    assert charged == [
+        (RoomType.Entrance,),
+        (RoomType.Kitchen,),
+        (RoomType.Bathroom,),
+        (RoomType.Balcony,),
+    ]
+
+
 def test_entrance_touching_door_is_zero(tiling_plan):
-    costs = ergocost.entrance_cost(tiling_plan, CELLS)
+    costs = charges(tiling_plan, RoomType.Entrance)
     assert costs == [(0, 0.0)]
 
 
@@ -24,7 +43,7 @@ def test_entrance_two_cells_from_door():
         ((0, 4), (0, 8)),
         [(RoomType.Entrance, rect(2, 0, 10, 10))],
     )
-    assert ergocost.entrance_cost(plan, CELLS) == [(0, 2.0)]
+    assert charges(plan, RoomType.Entrance) == [(0, 2.0)]
 
 
 def test_two_entrances_independent_entries():
@@ -36,14 +55,14 @@ def test_two_entrances_independent_entries():
             (RoomType.Entrance, rect(8, 16, 16, 24)),
         ],
     )
-    costs = dict(ergocost.entrance_cost(plan, CELLS))
+    costs = dict(charges(plan, RoomType.Entrance))
     assert costs[0] == 0.0
     assert costs[1] == min_distance(plan.rooms[1], plan.door, CELLS)
     assert costs[1] > 0.0
 
 
 def test_kitchen_adjacent_entrance_no_dining(tiling_plan):
-    assert ergocost.kitchen_cost(tiling_plan, CELLS) == [(1, 0.0)]
+    assert charges(tiling_plan, RoomType.Kitchen) == [(1, 0.0)]
 
 
 def test_kitchen_mean_of_two_clients():
@@ -56,7 +75,7 @@ def test_kitchen_mean_of_two_clients():
             (RoomType.DiningRoom, rect(24, 0, 28, 4)),  # gap 4
         ],
     )
-    assert ergocost.kitchen_cost(plan, CELLS) == [(0, pytest.approx(3.0))]
+    assert charges(plan, RoomType.Kitchen) == [(0, pytest.approx(3.0))]
 
 
 def test_two_kitchens_match_nearest_assignment_enumeration(rng):
@@ -76,7 +95,7 @@ def test_two_kitchens_match_nearest_assignment_enumeration(rng):
                 (RoomType.DiningRoom, r(int(spots[4][0]) + 80, int(spots[4][1]) + 80)),
             ],
         )
-        got = dict(ergocost.kitchen_cost(plan, CELLS))
+        got = dict(charges(plan, RoomType.Kitchen))
         # exhaustive nearest assignment
         kitchens = [0, 1]
         clients = [2, 3, 4]
@@ -95,7 +114,7 @@ def test_two_kitchens_match_nearest_assignment_enumeration(rng):
 
 
 def test_bathroom_adjacent_to_all_clients_is_zero(tiling_plan):
-    assert ergocost.bathroom_cost(tiling_plan, CELLS) == [(3, 0.0)]
+    assert charges(tiling_plan, RoomType.Bathroom) == [(3, 0.0)]
 
 
 def test_two_bathrooms_match_nearest_assignment_enumeration(rng):
@@ -116,7 +135,7 @@ def test_two_bathrooms_match_nearest_assignment_enumeration(rng):
                 (RoomType.SecondRoom, r(int(spots[5][0]), int(spots[5][1]))),
             ],
         )
-        got = dict(ergocost.bathroom_cost(plan, CELLS))
+        got = dict(charges(plan, RoomType.Bathroom))
         baths = [0, 1]
         clients = [2, 3, 4, 5]
         assigned = {b: [] for b in baths}
@@ -145,7 +164,7 @@ def test_bathroom_mean_of_client_distances():
             (RoomType.SecondRoom, rect(8, 0, 12, 4)),  # 4
         ],
     )
-    assert ergocost.bathroom_cost(plan, CELLS) == [(0, pytest.approx(2.5))]
+    assert charges(plan, RoomType.Bathroom) == [(0, pytest.approx(2.5))]
 
 
 def test_balcony_adjacent_to_living_room_is_zero():
@@ -157,11 +176,11 @@ def test_balcony_adjacent_to_living_room_is_zero():
             (RoomType.Balcony, rect(16, 0, 24, 8)),
         ],
     )
-    assert ergocost.balcony_cost(plan, CELLS) == [(1, 0.0)]
+    assert charges(plan, RoomType.Balcony) == [(1, 0.0)]
 
 
 def test_balcony_takes_minimum_over_neighbors(spread_plan):
-    assert ergocost.balcony_cost(spread_plan, CELLS) == [(5, pytest.approx(8.0))]
+    assert charges(spread_plan, RoomType.Balcony) == [(5, pytest.approx(8.0))]
 
 
 def test_balcony_omitted_without_neighbor_types():
@@ -173,7 +192,7 @@ def test_balcony_omitted_without_neighbor_types():
             (RoomType.Bathroom, rect(8, 0, 16, 8)),
         ],
     )
-    assert ergocost.balcony_cost(plan, CELLS) == []
+    assert charges(plan, RoomType.Balcony) == []
     report = ergocost.ergonomic_cost(plan, CELLS)
     assert report.applicable_terms["balconies"] is False
 
@@ -265,20 +284,6 @@ def test_scale_doubling_doubles_exactly(spread_plan):
 def test_perfect_iff_all_contact(tiling_plan, spread_plan):
     assert ergocost.ergonomic_cost(tiling_plan, CELLS).perfect
     assert not ergocost.ergonomic_cost(spread_plan, CELLS).perfect
-
-
-def test_nearest_assignment_is_optimal():
-    for seed in range(20):
-        plan = synth_plan(seed, SynthConfig(de_ergonomize_fraction=0.5))
-        assignment = ergocost.nearest_assignment(
-            plan, ergocost.KITCHEN_CLIENTS, RoomType.Kitchen, CELLS
-        )
-        kitchens = [i for i, r in enumerate(plan.rooms) if r.kind == RoomType.Kitchen]
-        for ci, ti in assignment.items():
-            best = min(
-                min_distance(plan.rooms[ci], plan.rooms[k], CELLS) for k in kitchens
-            )
-            assert min_distance(plan.rooms[ci], plan.rooms[ti], CELLS) == best
 
 
 @settings(max_examples=40)

@@ -28,33 +28,39 @@ def manual_soft_distance(p, q, beta=10.0):
 
 
 class TestSoftmin:
+    """_soft_combine, the softmin every soft distance and term goes through:
+    per row of values (V, k), the softmin-weighted average and its
+    derivative, which equals the weights where the row is constant."""
+
     def test_singleton(self):
-        assert ergoloss.softmin_weights([5.0], beta=10.0) == pytest.approx([1.0])
+        out, dvalues = ergoloss._soft_combine(np.array([[5.0]]), 10.0)
+        assert out.tolist() == [5.0] and dvalues.tolist() == [[1.0]]
 
     def test_equal_pair_splits_evenly(self):
-        w = ergoloss.softmin_weights([3.3, 3.3], beta=10.0)
-        assert w == pytest.approx([0.5, 0.5], abs=1e-15)
+        out, dvalues = ergoloss._soft_combine(np.array([[3.3, 3.3]]), 10.0)
+        assert out[0] == pytest.approx(3.3, abs=1e-15)
+        assert dvalues[0] == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_two_term_values(self):
-        w = ergoloss.softmin_weights([1.0, 2.0], beta=10.0)
-        expected_hi = 1.0 / (1.0 + math.exp(-10.0))
-        assert w[0] == pytest.approx(expected_hi, abs=1e-12)
-        assert w[0] == pytest.approx(0.9999546, abs=1e-7)
-        assert w[1] == pytest.approx(4.539787e-5, rel=1e-5)
+        out, _ = ergoloss._soft_combine(np.array([[1.0, 2.0]]), 10.0)
+        w_hi = 1.0 / (1.0 + math.exp(-10.0))
+        assert w_hi == pytest.approx(0.9999546, abs=1e-7)
+        assert out[0] == pytest.approx(w_hi * 1.0 + (1.0 - w_hi) * 2.0, abs=1e-12)
 
-    def test_matrix_input_normalizes_over_all_entries(self):
-        w = ergoloss.softmin_weights([[1.0, 1.0], [1.0, 1.0]], beta=2.0)
-        assert w.shape == (2, 2)
-        assert w.sum() == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            ergoloss.softmin_weights([], beta=10.0)
+    def test_matrix_input_normalizes_over_all_entries(self, rng):
+        # a pair's soft distance weights its whole vertex-distance matrix at once
+        for _ in range(10):
+            p = rng.random((int(rng.integers(2, 5)), 2)) * 10
+            q = rng.random((int(rng.integers(2, 5)), 2)) * 10
+            d = ergoloss.soft_distance(p, q, CELLS)
+            assert d == pytest.approx(manual_soft_distance(p, q), abs=1e-12)
 
     def test_sums_to_one_random(self, rng):
+        # the weights sum to 1, so does the derivative: adding c to a row adds c
         for _ in range(20):
-            e = rng.random(int(rng.integers(1, 30))) * 50
-            assert ergoloss.softmin_weights(e).sum() == pytest.approx(1.0)
+            values = rng.random((3, int(rng.integers(1, 30)))) * 50
+            _, dvalues = ergoloss._soft_combine(values, 10.0)
+            assert dvalues.sum(axis=1) == pytest.approx(np.ones(3))
 
 
 class TestSoftDistance:
@@ -106,7 +112,7 @@ class TestSoftDistance:
 
 class TestTerms:
     def test_single_entrance_equals_soft_distance(self, spread_plan):
-        got = ergoloss.loss_entrances(spread_plan, CELLS)
+        got = ergoloss.ergonomic_loss(spread_plan, CELLS).entrances
         expected = ergoloss.soft_distance(spread_plan.rooms[0], spread_plan.door, CELLS)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -116,7 +122,7 @@ class TestTerms:
             ((0, 0), (0, 4)),
             [(RoomType.Entrance, rect(0, 0, 8, 8))],
         )
-        val = ergoloss.loss_entrances(plan, CELLS)
+        val = ergoloss.ergonomic_loss(plan, CELLS).entrances
         e = np.linalg.norm(
             np.array(plan.rooms[0].vertices, float)[:, None]
             - np.array([plan.door.a, plan.door.b], float)[None],
@@ -135,10 +141,10 @@ class TestTerms:
         )
         d0 = ergoloss.soft_distance(plan.rooms[0], plan.door, CELLS)
         d1 = ergoloss.soft_distance(plan.rooms[1], plan.door, CELLS)
-        assert ergoloss.loss_entrances(plan, CELLS) == pytest.approx((d0 + d1) / 2)
+        assert ergoloss.ergonomic_loss(plan, CELLS).entrances == pytest.approx((d0 + d1) / 2)
 
     def test_single_kitchen_reduces_to_mean_distance(self, spread_plan):
-        got = ergoloss.loss_kitchens(spread_plan, CELLS)
+        got = ergoloss.ergonomic_loss(spread_plan, CELLS).kitchens
         d_ent = ergoloss.soft_distance(spread_plan.rooms[0], spread_plan.rooms[1], CELLS)
         d_din = ergoloss.soft_distance(spread_plan.rooms[2], spread_plan.rooms[1], CELLS)
         assert got == pytest.approx((d_ent + d_din) / 2, abs=1e-12)
@@ -154,7 +160,7 @@ class TestTerms:
             ],
         )
         common = ergoloss.soft_distance(plan.rooms[0], plan.rooms[1], CELLS)
-        assert ergoloss.loss_kitchens(plan, CELLS) == pytest.approx(common, abs=1e-12)
+        assert ergoloss.ergonomic_loss(plan, CELLS).kitchens == pytest.approx(common, abs=1e-12)
 
     def test_generic_two_kitchen_case_matches_script(self):
         plan = make_plan(
@@ -180,12 +186,12 @@ class TestTerms:
             w = np.exp(-beta * (deltas - deltas.min()))
             w /= w.sum()
             expected.append(float((deltas * w).sum()))
-        assert ergoloss.loss_kitchens(plan, CELLS) == pytest.approx(
+        assert ergoloss.ergonomic_loss(plan, CELLS).kitchens == pytest.approx(
             np.mean(expected), abs=1e-12
         )
 
     def test_bathroom_mirrors_kitchen_structure(self, spread_plan):
-        got = ergoloss.loss_bathrooms(spread_plan, CELLS)
+        got = ergoloss.ergonomic_loss(spread_plan, CELLS).bathrooms
         d_ent = ergoloss.soft_distance(spread_plan.rooms[0], spread_plan.rooms[3], CELLS)
         d_liv = ergoloss.soft_distance(spread_plan.rooms[4], spread_plan.rooms[3], CELLS)
         assert got == pytest.approx((d_ent + d_liv) / 2, abs=1e-12)
@@ -200,7 +206,7 @@ class TestTerms:
             ],
         )
         expected = ergoloss.soft_distance(plan.rooms[1], plan.rooms[0], CELLS)
-        assert ergoloss.loss_balconies(plan, CELLS) == pytest.approx(expected, abs=1e-12)
+        assert ergoloss.ergonomic_loss(plan, CELLS).balconies == pytest.approx(expected, abs=1e-12)
 
     def test_touching_balcony_near_zero_with_large_beta(self):
         plan = make_plan(
@@ -211,7 +217,7 @@ class TestTerms:
                 (RoomType.Balcony, rect(16, 0, 24, 8)),
             ],
         )
-        val = ergoloss.loss_balconies(plan, SoftParams(beta=100.0, coordinate_space="cells"))
+        val = ergoloss.ergonomic_loss(plan, SoftParams(beta=100.0, coordinate_space="cells")).balconies
         assert val == pytest.approx(0.0, abs=1e-6)
 
     def test_multi_neighbor_matches_script(self, spread_plan):
@@ -227,7 +233,7 @@ class TestTerms:
         w = np.exp(-beta * (dists - dists.min()))
         w /= w.sum()
         expected = float((dists * w).sum())
-        assert ergoloss.loss_balconies(spread_plan, CELLS) == pytest.approx(
+        assert ergoloss.ergonomic_loss(spread_plan, CELLS).balconies == pytest.approx(
             expected, abs=1e-12
         )
 

@@ -6,11 +6,11 @@ import pytest
 
 from conftest import make_plan, rect
 
-from ergoplan import ergoloss, guidance, tokenizer
+from ergoplan import ergoloss, guidance, model, tokenizer
 from ergoplan.dataset import SynthConfig, synth_plan
 from ergoplan.errors import ArgmaxNotCoordinate, NoEligiblePositions
 from ergoplan.ergoloss import SoftParams
-from ergoplan.guidance import GuidanceConfig, alpha, combined_loss, expected_token
+from ergoplan.guidance import GuidanceConfig, alpha, expected_token
 from ergoplan.plan import RoomType
 
 V = tokenizer.Vocabulary(256)
@@ -49,13 +49,6 @@ class TestExpectedToken:
         # center at 100; the 140 term is 40 sigma away and vanishes
         assert v == pytest.approx(100 / 256, abs=1e-12)
 
-    def test_window_truncation(self):
-        cfg = GuidanceConfig(resolution=256, sigma=64 / 256, window=1)
-        v = expected_token(row_with({100: 0.5, 101: 0.3, 110: 0.2}), cfg)
-        w = math.exp(-0.5 / 64**2)
-        expected = (0.5 * 100 + 0.3 * w * 101) / (0.5 + 0.3 * w) / 256
-        assert v == pytest.approx(expected, abs=1e-12)
-
     def test_within_support_bounds(self, rng):
         for _ in range(50):
             logits = rng.standard_normal(V.size)
@@ -72,7 +65,7 @@ class TestExpectedToken:
             logits[256:] -= 100.0
             row = np.exp(logits - logits.max())
             row /= row.sum()
-            v, grad = guidance.expected_token_grad(row, CFG)
+            (v,), (grad,) = guidance.collapse(row[None], CFG)
             top = int(np.argmax(row))
             h = 1e-7
             for j in (top - 1, top, top + 2, 30):
@@ -102,7 +95,7 @@ class TestCollapse:
 
     @pytest.mark.parametrize(
         "cfg",
-        [CFG, GuidanceConfig(resolution=256, sigma=4 / 256, window=3), GuidanceConfig(sigma=0.05)],
+        [CFG, GuidanceConfig(resolution=256, sigma=4 / 256), GuidanceConfig(sigma=0.05)],
     )
     def test_bit_identical_to_per_row(self, rng, cfg):
         rows = softened_rows(rng, 60)
@@ -111,8 +104,7 @@ class TestCollapse:
             ref_v, ref_g = oracles.expected_token_grad(row, cfg)
             assert v == ref_v
             assert np.array_equal(g, ref_g)
-            v1, g1 = guidance.expected_token_grad(row, cfg)
-            assert v1 == ref_v and np.array_equal(g1, ref_g)
+            assert expected_token(row, cfg) == ref_v
 
     def test_any_non_coordinate_argmax_raises(self, rng):
         rows = softened_rows(rng, 5)
@@ -140,9 +132,9 @@ class TestCollapse:
                     )
                     assert result.loss == loss
                     assert result.eligible_positions == eligible
-                    assert result.row_grads.keys() == row_grads.keys()
-                    for pos, g in row_grads.items():
-                        assert np.array_equal(result.row_grads[pos], g)
+                    assert result.positions.tolist() == list(row_grads)
+                    for g, ref_g in zip(result.grads, row_grads.values(), strict=True):
+                        assert np.array_equal(g, ref_g)
 
     def test_table_with_other_params_rejected(self):
         plan = plan_with_rooms()
@@ -203,18 +195,7 @@ class TestPositionalLoss:
         rows[skipped, V.eos] = 1.0
         result = guidance.positional_ergo_loss(plan, seq, rows, CFG, CELLS)
         assert len(result.eligible_positions) == len(positions) - 1
-        assert skipped not in result.row_grads
-
-    def test_single_position_mode(self):
-        plan = plan_with_rooms()
-        seq = tokenizer.encode(plan, V)
-        cfg = GuidanceConfig(resolution=256, substitute_all=False)
-        rng = np.random.default_rng(0)
-        result = guidance.positional_ergo_loss(
-            plan, seq, one_hot_rows(seq), cfg, CELLS, rng=rng
-        )
-        assert len(result.eligible_positions) == 1
-        assert len(result.row_grads) == 1
+        assert skipped not in result.positions
 
     def test_row_grad_matches_renormalized_fd(self, rng):
         plan = plan_with_rooms()
@@ -229,7 +210,7 @@ class TestPositionalLoss:
         rows[pos, gt_token + 1] = 0.3
         rows[pos, gt_token - 1] = 0.15
         result = guidance.positional_ergo_loss(plan, seq, rows, CFG, CELLS)
-        g = result.row_grads[pos]
+        g = result.grads[result.positions.tolist().index(pos)]
         h = 1e-6
         for j in (gt_token - 1, gt_token, gt_token + 1):
             plus, minus = rows.copy(), rows.copy()
@@ -242,6 +223,21 @@ class TestPositionalLoss:
             fd = (lp - lm) / (2 * h)
             projected = g[j] - float(g @ rows[pos])
             assert fd == pytest.approx(projected, rel=1e-4, abs=1e-10)
+
+
+MICRO = model.ModelConfig(layers=1, heads=2, embed_dim=8, context_len=96, dtype="float64", seed=3)
+
+
+def mixed_batch_loss(plan, gamma, guided=True):
+    """(MixedLoss, parameter gradients) that training computes for a
+    one-sample batch."""
+    return model.batch_loss_and_grads(
+        [(tokenizer.encode(plan, V), plan)],
+        model.init_params(MICRO),
+        MICRO,
+        model.TrainConfig(guided=guided),
+        GuidanceConfig(gamma=gamma),
+    )
 
 
 class TestAlphaAndMix:
@@ -263,25 +259,32 @@ class TestAlphaAndMix:
             alpha(-1.0, GuidanceConfig())
 
     def test_combined_loss_endpoints(self):
-        assert combined_loss(2.0, 4.0, 0.0).total == 2.0
-        assert combined_loss(2.0, 4.0, 1.0).total == 4.0
-        assert combined_loss(2.0, 4.0, 0.5).total == pytest.approx(3.0)
+        # at alpha 0 training sees cross-entropy alone, at alpha 1 the plan loss
+        plan = plan_with_rooms()
+        unguided, _ = mixed_batch_loss(plan, gamma=30.0, guided=False)
+        assert unguided.alpha == 0.0 and unguided.total == unguided.cross_entropy
+        saturated, _ = mixed_batch_loss(plan, gamma=1e-9)
+        assert saturated.alpha == 1.0 and saturated.total == saturated.ergo
 
-    def test_combined_loss_invariant(self, rng):
-        for _ in range(20):
-            lc, le, a = rng.random() * 5, rng.random() * 40, rng.random()
-            mix = combined_loss(lc, le, a)
-            assert mix.total == pytest.approx((1 - a) * lc + a * le, abs=1e-12)
-
-    def test_combined_loss_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            combined_loss(1.0, 1.0, 1.5)
+    def test_combined_loss_invariant(self):
+        plan = plan_with_rooms()
+        gt = ergoloss.ergonomic_loss(plan).total
+        for target in (0.1, 0.5, 0.9):
+            mix, _ = mixed_batch_loss(plan, gamma=gt / target)
+            assert mix.alpha == pytest.approx(target, abs=1e-12)
+            expected = (1 - mix.alpha) * mix.cross_entropy + mix.alpha * mix.ergo
+            assert mix.total == pytest.approx(expected, abs=1e-12)
 
     def test_combined_loss_partial_derivatives(self):
-        # alpha is a data-dependent constant: d total/d ce = 1 - alpha and
-        # d total/d ergo = alpha, exactly
-        a, lc, le, h = 0.3, 2.0, 7.0, 1e-6
-        d_ce = (combined_loss(lc + h, le, a).total - combined_loss(lc - h, le, a).total) / (2 * h)
-        d_ergo = (combined_loss(lc, le + h, a).total - combined_loss(lc, le - h, a).total) / (2 * h)
-        assert d_ce == pytest.approx(1 - a, abs=1e-9)
-        assert d_ergo == pytest.approx(a, abs=1e-9)
+        # alpha is a data-dependent constant: the gradient at alpha is
+        # (1 - alpha) times the cross-entropy gradient (alpha 0) plus alpha
+        # times the plan-loss gradient (alpha 1)
+        plan = plan_with_rooms()
+        gt = ergoloss.ergonomic_loss(plan).total
+        _, g_ce = mixed_batch_loss(plan, gamma=30.0, guided=False)
+        _, g_ergo = mixed_batch_loss(plan, gamma=1e-9)
+        mix, g_mix = mixed_batch_loss(plan, gamma=gt / 0.3)
+        a = mix.alpha
+        for name, g in g_mix.items():
+            expected = (1 - a) * g_ce[name] + a * g_ergo[name]
+            assert np.allclose(g, expected, rtol=1e-9, atol=1e-14), name

@@ -147,12 +147,6 @@ def test_compare_mismatched_corpora_rejected():
         compare(evaluate(seqs_a, CFG), evaluate(seqs_b, CFG))
 
 
-def test_reference_boundaries_protocol_check():
-    _, seqs = encoded_corpus(n=4, seed=9)
-    with pytest.raises(ProtocolMismatch):
-        evaluate(seqs, CFG, reference_boundaries=[None] * 3)
-
-
 def test_order_independence():
     _, seqs = encoded_corpus(n=12, seed=10)
     a = evaluate(seqs, CFG)

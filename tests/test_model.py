@@ -4,10 +4,13 @@ import numpy as np
 import oracles
 import pytest
 
+from conftest import make_plan, rect
+
 from ergoplan import dataset, ergoloss, guidance, model, tokenizer
 from ergoplan.dataset import SynthConfig, synth_plan
 from ergoplan.errors import ContextOverflow, EmptyInput, OutOfRange
 from ergoplan.model import Model, ModelConfig, TrainConfig
+from ergoplan.plan import RoomType
 
 V = tokenizer.Vocabulary(256)
 
@@ -399,17 +402,43 @@ class TestTraining:
         tcfg = TrainConfig(guided=True)
         for gcfg in (
             guidance.GuidanceConfig(gamma=5.0),
-            guidance.GuidanceConfig(gamma=5.0, substitute_all=False, window=4),
+            guidance.GuidanceConfig(gamma=5.0, sigma=4 / 256),
         ):
-            loss, grads = model.batch_loss_and_grads(
-                batch, params, SMALL, tcfg, gcfg, rng=np.random.default_rng(2)
-            )
-            ref_loss, ref_grads = oracles.batch_loss_and_grads(
-                batch, params, SMALL, tcfg, gcfg, rng=np.random.default_rng(2)
-            )
+            loss, grads = model.batch_loss_and_grads(batch, params, SMALL, tcfg, gcfg)
+            ref_loss, ref_grads = oracles.batch_loss_and_grads(batch, params, SMALL, tcfg, gcfg)
             assert loss.alpha > 0.0
             assert loss == ref_loss
             assert all(np.array_equal(grads[k], ref_grads[k]) for k in ref_grads)
+
+    def test_pad_id_comes_from_the_model_vocabulary(self):
+        # coordinate 145 is the pad id of a 128-cell vocabulary; a baseline
+        # step must not read it from the guidance config and mask it out
+        plan = make_plan(
+            rect(0, 0, 160, 160),
+            ((0, 4), (0, 8)),
+            [(RoomType.Entrance, rect(0, 0, 145, 145)), (RoomType.Kitchen, rect(145, 0, 160, 16))],
+        )
+        seq = tokenizer.encode(plan, V)
+        assert tokenizer.Vocabulary(128).pad in seq.tokens
+        batch = [(seq, plan)]
+        params = noisy_params(MICRO)
+        tcfg = TrainConfig(guided=False)
+        loss, grads = model.batch_loss_and_grads(batch, params, MICRO, tcfg)
+        other = guidance.GuidanceConfig(resolution=128)
+        loss_128, grads_128 = model.batch_loss_and_grads(batch, params, MICRO, tcfg, other)
+        assert loss_128 == loss
+        assert all(np.array_equal(grads_128[k], g) for k, g in grads.items())
+
+    def test_guided_resolution_must_match_the_vocabulary(self, spread_plan):
+        batch = [(tokenizer.encode(spread_plan, V), spread_plan)]
+        with pytest.raises(ValueError, match="resolution"):
+            model.batch_loss_and_grads(
+                batch,
+                model.init_params(MICRO),
+                MICRO,
+                TrainConfig(guided=True),
+                guidance.GuidanceConfig(resolution=128),
+            )
 
     def test_checkpoint_round_trip(self, memorized, tmp_path):
         state, _, _ = memorized

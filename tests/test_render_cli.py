@@ -202,6 +202,27 @@ class TestTrainGenerateCli:
         assert cfg.layers == 1 and cfg.embed_dim == 8
         assert tcfg["guided"] is False
 
+    def test_config_file_rejects_unknown_keys_and_guided_values(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        assert main(["--seed", "2", "synth", "--n", "4", "--out", str(corpus)]) == 0
+        cfg_file = tmp_path / "train.cfg"
+        argv = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.npz")]
+        cases = {"guided = true\n": "'true'", "lr = fast\n": "'fast'", "batch-size = 2\n": "batch-size"}
+        for text, named in cases.items():
+            cfg_file.write_text(text)
+            capsys.readouterr()
+            assert main([*argv, "--config", str(cfg_file), "--steps", "1", "--log-every", "0"]) == 2
+            assert named in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_non_integer_seed_variable_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ERGOPLAN_SEED", "abc")
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--n", "1", "--out", str(tmp_path / "c")])
+        assert err.value.code == 1
+        assert "ERGOPLAN_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_split_selects_plans_for_generate_and_eval(self, tmp_path, capsys):
         corpus_dir = tmp_path / "c"
         assert main(["--seed", "4", "synth", "--n", "10", "--out", str(corpus_dir)]) == 0
