@@ -450,13 +450,21 @@ def _cmd_eval(args):
         coverage_tolerance=args.coverage_tolerance,
         overlap_tolerance=args.overlap_tolerance,
     )
+    start = time.perf_counter()
     report = metrics.evaluate(sequences, cfg, threads=args.threads)
+    elapsed = time.perf_counter() - start
     if args.out:
         Path(args.out).write_text(report.to_json())
     if args.format == "json":
         print(report.to_json())
     else:
         print(report.to_markdown())
+    failures = ", ".join(f"{count} {why}" for why, count in report.failures.items())
+    print(
+        f"evaluated {report.n_sequences} sequences in {elapsed:.2f} s "
+        f"({report.n_sequences / max(elapsed, 1e-9):.0f} seq/s), failures: {failures or 'none'}",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 

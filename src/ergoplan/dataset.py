@@ -349,6 +349,9 @@ def synth_plan(seed, cfg=None):
                     taken.add(dst)
                     break
 
+    # the memo's outlines go before the plan's long-lived objects are made,
+    # which then reuse their memory instead of being scattered around it
+    del leaf_distance
     rooms = tuple(
         RoomPolygon(kind, poly) for kind, poly in zip(kinds, plan_no_types)
     )

@@ -13,7 +13,7 @@ desired adjacency is satisfied exactly.
 import json
 from dataclasses import dataclass
 
-from .geometry import min_distance
+from .geometry import Outline, min_distance
 from .plan import RoomType, ScaleConfig
 
 KITCHEN_CLIENTS = (RoomType.Entrance, RoomType.DiningRoom)
@@ -79,13 +79,20 @@ class ErgoReport:
 
 def _distance_memo(shapes, scale=None):
     """distance(i, j): min_distance between shapes[i] and shapes[j],
-    computed at most once per unordered pair (min_distance is symmetric)."""
+    computed at most once per unordered pair (min_distance is symmetric),
+    from outlines built at most once per shape."""
+    outlines = {}
     memo = {}
+
+    def shape(i):
+        if i not in outlines:
+            outlines[i] = Outline(shapes[i])
+        return outlines[i]
 
     def distance(i, j):
         key = (i, j) if i <= j else (j, i)
         if key not in memo:
-            memo[key] = min_distance(shapes[i], shapes[j], scale)
+            memo[key] = min_distance(shape(i), shape(j), scale)
         return memo[key]
 
     return distance

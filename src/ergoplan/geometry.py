@@ -6,32 +6,15 @@ of (x, y) integer tuples; the closing edge is implicit.
 """
 
 import math
+from functools import cached_property
 
-from .errors import DegenerateArea, NotRectilinear, SelfIntersecting
+from .errors import DegenerateArea, EmptyInput, NotRectilinear, SelfIntersecting
 
 
 def _loop(obj):
     """Extract a vertex loop from a polygon-like object or bare sequence."""
     verts = getattr(obj, "vertices", obj)
     return [(int(x), int(y)) for x, y in verts]
-
-
-def _edges_of(obj):
-    """Edge list of a polygon loop, a segment object, or a bare sequence.
-
-    Bare 2-point sequences are treated as a single open segment; longer
-    sequences as closed loops.
-    """
-    if hasattr(obj, "vertices"):
-        pts = _loop(obj.vertices)
-        return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
-    if hasattr(obj, "a") and hasattr(obj, "b"):
-        a, b = obj.a, obj.b
-        return [((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))]
-    pts = _loop(obj)
-    if len(pts) == 2:
-        return [(pts[0], pts[1])]
-    return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
 
 
 def signed_area2(loop):
@@ -43,19 +26,6 @@ def signed_area2(loop):
         x1, y1 = pts[(i + 1) % len(pts)]
         total += x0 * y1 - x1 * y0
     return total
-
-
-def _is_rectilinear(pts):
-    for i in range(len(pts)):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % len(pts)]
-        if (x0 == x1) == (y0 == y1):  # both equal: zero edge; both differ: diagonal
-            return False
-    return True
-
-
-def _direction(p, q):
-    return ((q[0] > p[0]) - (q[0] < p[0]), (q[1] > p[1]) - (q[1] < p[1]))
 
 
 def _segments_intersect(p1, p2, q1, q2):
@@ -88,70 +58,74 @@ def _segments_intersect(p1, p2, q1, q2):
     return False
 
 
-def is_simple_loop(loop):
-    """True if the closed loop has no repeated vertices and no two
-    non-adjacent edges touch or cross."""
-    pts = _loop(loop)
-    n = len(pts)
-    if n < 3 or len(set(pts)) != n:
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if _segments_intersect(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]):
-                return False
-    return True
-
-
 def normalize_loop(loop):
     """Canonical form of a rectilinear simple loop.
 
     Returns the loop CCW-oriented, with collinear midpoints removed, starting
     at the lexicographically smallest vertex. Raises NotRectilinear,
     SelfIntersecting, or DegenerateArea.
+
+    One sweep over the edge directions drops every straight-run midpoint:
+    dropping one merges two edges of the same direction, so no other
+    vertex's turn changes. A 180-degree reversal is a spur and raises at the
+    first such vertex. Two closed axis-aligned edges meet exactly when their
+    boxes overlap, which decides simplicity.
     """
     pts = _loop(loop)
     # drop consecutive duplicates (including the wraparound)
-    dedup = []
-    for p in pts:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
+    dedup = [p for p, q in zip(pts, [None] + pts) if p != q]
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     if len(dedup) < 4:
         raise DegenerateArea(f"loop collapses to {len(dedup)} vertices")
-    if not _is_rectilinear(dedup):
-        raise NotRectilinear(f"loop has a non-axis-aligned edge: {dedup}")
 
-    # remove midpoints of straight runs; a 180-degree reversal is a spur
-    changed = True
-    while changed:
-        changed = False
-        n = len(dedup)
-        for i in range(n):
-            d_in = _direction(dedup[(i - 1) % n], dedup[i])
-            d_out = _direction(dedup[i], dedup[(i + 1) % n])
-            if d_in == d_out:
-                dedup.pop(i)
-                changed = True
-                break
-            if d_in == (-d_out[0], -d_out[1]):
-                raise SelfIntersecting(f"boundary reverses onto itself at {dedup[i]}")
-    if len(dedup) < 4:
+    # direction of the edge leaving each vertex: +-1 along x, +-2 along y;
+    # collinear midpoints add nothing to the shoelace sum
+    directions = []
+    area2 = 0
+    for (x0, y0), (x1, y1) in zip(dedup, dedup[1:] + dedup[:1]):
+        area2 += x0 * y1 - x1 * y0
+        if y0 == y1:
+            directions.append(1 if x1 > x0 else -1)
+        elif x0 == x1:
+            directions.append(2 if y1 > y0 else -2)
+        else:
+            raise NotRectilinear(f"loop has a non-axis-aligned edge: {dedup}")
+    corners = []
+    for p, d_in, d_out in zip(dedup, directions[-1:] + directions[:-1], directions):
+        if d_in == -d_out:
+            raise SelfIntersecting(f"boundary reverses onto itself at {p}")
+        if d_in != d_out:
+            corners.append(p)
+    n = len(corners)
+    if n < 4:
         raise DegenerateArea("loop collapses below 4 vertices")
 
-    if not is_simple_loop(dedup):
-        raise SelfIntersecting("non-adjacent edges touch or cross")
-
-    area2 = signed_area2(dedup)
+    if n > 4:  # four corners that alternate between the axes make a rectangle
+        _check_simple(corners)
     if area2 == 0:
         raise DegenerateArea("loop encloses zero area")
     if area2 < 0:
-        dedup.reverse()
+        corners.reverse()
 
-    start = min(range(len(dedup)), key=lambda i: dedup[i])
-    return tuple(dedup[start:] + dedup[:start])
+    start = corners.index(min(corners))
+    return tuple(corners[start:] + corners[:start])
+
+
+def _check_simple(corners):
+    """Raise SelfIntersecting when two non-adjacent edges of a rectilinear
+    loop meet; closed axis-aligned edges meet exactly when their boxes
+    overlap."""
+    boxes = [
+        (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
+        for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1])
+    ]
+    n = len(boxes)
+    for i in range(n - 2):
+        ax0, ax1, ay0, ay1 = boxes[i]
+        for bx0, bx1, by0, by1 in boxes[i + 2 : n - (i == 0)]:  # the non-adjacent edges
+            if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1:
+                raise SelfIntersecting("non-adjacent edges touch or cross")
 
 
 def polygon_area(poly):
@@ -170,6 +144,9 @@ def rect_decompose(poly):
     """
     pts = normalize_loop(poly)
     n = len(pts)
+    if n == 4:  # a normalized rectangle starts at its lower-left corner
+        (x0, y0), _, (x1, y1), _ = pts
+        return [(x0, y0, x1, y1)]
     verticals = []
     for i in range(n):
         x0, y0 = pts[i]
@@ -271,48 +248,104 @@ def _box(p, q):
     return (*p, *q) if p <= q else (*q, *p)
 
 
+def _rectangle(pts):
+    """Box of a 4-vertex loop around an axis-aligned rectangle, in either
+    orientation and from any start; else None. A flat loop's boundary is
+    its box."""
+    if len(pts) != 4:
+        return None
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts
+    if (ay == by and bx == cx and cy == dy and dx == ax) or (
+        ax == bx and by == cy and cx == dx and dy == ay
+    ):
+        return (*min(pts), *max(pts))
+    return None
+
+
+class Outline:
+    """A distance operand prepared once: a polygon, a door segment, or a
+    bare sequence (2 points are an open segment, more a closed loop).
+
+    `box` is the operand's own box when it is a single box, a rectangle
+    loop or an axis-aligned (or zero-length) segment, else None. Raises
+    EmptyInput for an operand without vertices.
+    """
+
+    def __init__(self, obj):
+        if hasattr(obj, "vertices"):
+            self.points, self.segment = _loop(obj.vertices), False
+        elif hasattr(obj, "a") and hasattr(obj, "b"):
+            self.points, self.segment = _loop((obj.a, obj.b)), True
+        else:
+            self.points = _loop(obj)
+            self.segment = len(self.points) == 2
+        if not self.points:
+            raise EmptyInput("min_distance needs operands with at least one vertex")
+        self.box = _box(*self.points) if self.segment else _rectangle(self.points)
+
+    @cached_property
+    def edges(self):
+        """[(p, q, the edge's box or None when it is diagonal)], built on
+        first use: two single boxes never need them."""
+        pts = self.points
+        pairs = [pts] if self.segment else zip(pts, pts[1:] + pts[:1])
+        return [(p, q, _box(p, q)) for p, q in pairs]
+
+
+def _box_gap(a, b):
+    """Euclidean gap between two boxes (x0, y0, x1, y1); 0 when they meet."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    gx = bx0 - ax1 if bx0 > ax1 else (ax0 - bx1 if ax0 > bx1 else 0)
+    gy = by0 - ay1 if by0 > ay1 else (ay0 - by1 if ay0 > by1 else 0)
+    return math.hypot(gx, gy)
+
+
 def min_distance(a, b, scale=None):
     """Minimum distance between the boundary point sets of two operands
-    (polygons, door segments, or bare loops), converted to meters.
+    (polygons, door segments, bare loops, or their Outlines), converted to
+    meters.
 
     Zero whenever the operands touch, cross, or one encloses the other.
     `scale` is a ScaleConfig (or bare meters-per-cell factor); omit it for
     plain cell units.
 
-    An axis-aligned (or zero-length) edge is its own box, so two of them are
-    as far apart as their boxes; a pair with a diagonal edge (a decoded door
-    may be one) takes segment_distance.
+    Two single boxes are as far apart as the boxes: contact, crossing and
+    strict enclosure all leave no gap. Otherwise the minimum runs over edge
+    pairs, where an axis-aligned (or zero-length) edge is its own box and a
+    pair with a diagonal edge (a decoded door may be one) takes
+    segment_distance.
     """
-    edges_a = _edges_of(a)
-    edges_b = _edges_of(b)
-    boxes_b = [_box(q1, q2) for q1, q2 in edges_b]
-    best = math.inf
-    for p1, p2 in edges_a:
-        box = _box(p1, p2)
-        for (q1, q2), other in zip(edges_b, boxes_b):
-            if box is None or other is None:
-                d = segment_distance(p1, p2, q1, q2)
-            else:
-                ax0, ay0, ax1, ay1 = box
-                bx0, by0, bx1, by1 = other
-                gx = bx0 - ax1 if bx0 > ax1 else (ax0 - bx1 if ax0 > bx1 else 0)
-                gy = by0 - ay1 if by0 > ay1 else (ay0 - by1 if ay0 > by1 else 0)
-                d = math.hypot(gx, gy)
-            if d < best:
-                best = d
-            if best == 0.0:
-                break
-        if best == 0.0:
-            break
-    if best > 0.0:
-        # no boundary contact: one operand may still lie entirely inside
-        # the other, which counts as overlap
-        if _encloses(edges_a, edges_b[0][0]) or _encloses(edges_b, edges_a[0][0]):
-            best = 0.0
+    a = a if isinstance(a, Outline) else Outline(a)
+    b = b if isinstance(b, Outline) else Outline(b)
+    if a.box is not None and b.box is not None:
+        best = _box_gap(a.box, b.box)
+    else:
+        best = _edge_distance(a.edges, b.edges)
     factor = getattr(scale, "meters_per_cell", scale)
     return best * float(1.0 if factor is None else factor)
 
 
+def _edge_distance(edges_a, edges_b):
+    """Minimum distance over the pairs of two Outlines' edges, in cells."""
+    best = math.inf
+    for p1, p2, box in edges_a:
+        for q1, q2, other in edges_b:
+            if box is None or other is None:
+                d = segment_distance(p1, p2, q1, q2)
+            else:
+                d = _box_gap(box, other)
+            if d < best:
+                best = d
+            if best == 0.0:
+                return best
+    # no boundary contact: one operand may still lie entirely inside the
+    # other, which counts as overlap
+    if _encloses(edges_a, edges_b[0][0]) or _encloses(edges_b, edges_a[0][0]):
+        return 0.0
+    return best
+
+
 def _encloses(edges, point):
     """Whether a closed loop of these edges strictly encloses point."""
-    return len(edges) > 1 and point_strictly_inside(point, [p for p, _ in edges])
+    return len(edges) > 1 and point_strictly_inside(point, [p for p, _, _ in edges])

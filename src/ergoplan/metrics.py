@@ -11,6 +11,7 @@ applies.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import ergocost, geometry, tokenizer
@@ -39,6 +40,9 @@ class EvalReport:
     n_valid: int
     n_cost_applicable: int
     config: dict = field(default_factory=dict)
+    # why sequences failed: the parse failure's reason, or the class of the
+    # geometry exception that made a parsed plan invalid -> count
+    failures: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -55,6 +59,7 @@ class EvalReport:
                 "cost_applicable": self.n_cost_applicable,
             },
             "config": self.config,
+            "failures": dict(self.failures),
         }
 
     @classmethod
@@ -73,6 +78,7 @@ class EvalReport:
             n_valid=counts["valid"],
             n_cost_applicable=counts["cost_applicable"],
             config=data.get("config", {}),
+            failures=data.get("failures", {}),
         )
 
     def to_json(self):
@@ -116,17 +122,19 @@ def _tally(sequences, cfg):
     except for the cost sums, which we keep in chunk order."""
     vocab = tokenizer.Vocabulary(cfg.resolution)
     tally = dict.fromkeys(("parsed", "valid", "covered", "no_overlap", "perfect"), 0)
-    tally.update(n=len(sequences), costs=[])
+    tally.update(n=len(sequences), costs=[], failures=Counter())
     for seq in sequences:
         outcome = tokenizer.decode(seq, vocab)
         if not outcome.ok:
+            tally["failures"][outcome.reason] += 1
             continue
         plan = outcome.plan
         tally["parsed"] += 1
         try:
             covered, overlap = plan_coverage(plan)
-        except (NotRectilinear, SelfIntersecting, DegenerateArea):
+        except (NotRectilinear, SelfIntersecting, DegenerateArea) as exc:
             # an invalid polygon: the geometric checks count as failed
+            tally["failures"][type(exc).__name__] += 1
             continue
         tally["valid"] += 1
         tally["covered"] += covered >= 1.0 - cfg.coverage_tolerance
@@ -157,8 +165,10 @@ def evaluate(sequences, cfg=None, threads=1):
     else:
         tallies = [_tally(sequences, cfg)]
 
-    merged = {key: sum(t[key] for t in tallies) for key in tallies[0] if key != "costs"}
+    counts = [key for key in tallies[0] if key not in ("costs", "failures")]
+    merged = {key: sum(t[key] for t in tallies) for key in counts}
     merged["costs"] = [c for t in tallies for c in t["costs"]]
+    failures = sum((t["failures"] for t in tallies), Counter())
     n_parsed = merged["parsed"]
     costs = merged["costs"]
     return EvalReport(
@@ -179,6 +189,7 @@ def evaluate(sequences, cfg=None, threads=1):
             "coverage_tolerance": cfg.coverage_tolerance,
             "overlap_tolerance": cfg.overlap_tolerance,
         },
+        failures=dict(sorted(failures.items())),
     )
 
 

@@ -9,6 +9,7 @@ pair). Decoding is total: any integer sequence yields either a plan or a
 positioned failure, never an exception.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ContextOverflow
@@ -139,16 +140,6 @@ def encode(plan, vocab=None, max_len=DEFAULT_CONTEXT):
     return TokenSequence(tuple(tokens), xy, vertex)
 
 
-def _read_coordinate_run(tokens, pos, vocab):
-    """Consume coordinate tokens starting at pos; return (points, next_pos)."""
-    coords = []
-    while pos < len(tokens) and vocab.is_coordinate(tokens[pos]):
-        coords.append(tokens[pos])
-        pos += 1
-    points = [(coords[i], coords[i + 1]) for i in range(0, len(coords) - 1, 2)]
-    return coords, points, pos
-
-
 def decode(tokens, vocab):
     """Parse a raw token stream back into a plan.
 
@@ -157,6 +148,15 @@ def decode(tokens, vocab):
     checked by plan validation and the evaluation metrics.
     """
     tokens = [int(t) for t in getattr(tokens, "tokens", tokens)]
+    # a coordinate run ends at the first token outside [0, resolution)
+    stops = [i for i, t in enumerate(tokens) if not 0 <= t < vocab.resolution]
+    stops.append(len(tokens))
+
+    def coordinate_run(pos):
+        """(coordinates, (x, y) pairs, next position) of the run at pos."""
+        end = stops[bisect_left(stops, pos)]
+        coords = tokens[pos:end]
+        return coords, list(zip(coords[::2], coords[1::2])), end
 
     def fail(position, reason):
         return ParseOutcome(position=position, reason=reason)
@@ -168,7 +168,7 @@ def decode(tokens, vocab):
     if pos >= len(tokens) or tokens[pos] != vocab.boundary_token:
         return fail(pos, "expected boundary start token")
     pos += 1
-    coords, boundary, pos = _read_coordinate_run(tokens, pos, vocab)
+    coords, boundary, pos = coordinate_run(pos)
     if len(coords) % 2 == 1:
         return fail(pos, "unpaired coordinate in boundary")
     if len(coords) < 8:
@@ -176,7 +176,7 @@ def decode(tokens, vocab):
     if pos >= len(tokens) or tokens[pos] != vocab.door_token:
         return fail(pos, "expected door start token")
     pos += 1
-    coords, door_points, pos = _read_coordinate_run(tokens, pos, vocab)
+    coords, door_points, pos = coordinate_run(pos)
     if len(coords) != 4:
         return fail(pos, "door needs exactly 2 vertices")
     rooms = []
@@ -185,7 +185,7 @@ def decode(tokens, vocab):
         if kind is None:
             break
         pos += 1
-        coords, points, pos = _read_coordinate_run(tokens, pos, vocab)
+        coords, points, pos = coordinate_run(pos)
         if len(coords) % 2 == 1:
             return fail(pos, "unpaired coordinate in room")
         if len(coords) < 8:

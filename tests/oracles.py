@@ -23,7 +23,11 @@ rasterizes onto a numpy grid, and `plan_is_valid`, `plan_coverage` and
 `metrics_tally` normalize each polygon up to four times: the package's
 earlier evaluation geometry. The package measures axis-aligned edge pairs
 as box gaps and normalizes each polygon once; its distances, areas and
-reports must equal these exactly.
+reports must equal these exactly. After them come the restart-loop
+`normalize_loop`, `rect_decompose`, the per-token `decode` and the
+raw-shape `_distance_memo`, which the earlier evaluation calls; the
+one-sweep normalization, slice decoding and per-plan outlines must give
+the same tuples, exceptions, outcomes and reports.
 """
 
 import math
@@ -42,13 +46,18 @@ from ergoplan.ergoloss import (
 from ergoplan.errors import (
     ArgmaxNotCoordinate,
     ContextOverflow,
+    DegenerateArea,
     EmptyInput,
     ErgoplanError,
     NoEligiblePositions,
     NonFiniteLoss,
+    NotRectilinear,
     OutOfRange,
+    SelfIntersecting,
 )
-from ergoplan.plan import RoomType
+from ergoplan.geometry import _loop, _segments_intersect, signed_area2
+from ergoplan.plan import DoorSegment, FloorPlan, RoomPolygon, RoomType
+from ergoplan.tokenizer import ParseOutcome
 
 KITCHEN_CLIENTS = (RoomType.Entrance, RoomType.DiningRoom)
 BATHROOM_CLIENTS = (
@@ -854,7 +863,7 @@ def union_area(rooms):
     """Exact area in cells^2 covered by at least one room polygon."""
     rects = []
     for room in rooms:
-        rects.extend(geometry.rect_decompose(room))
+        rects.extend(rect_decompose(room))
     if not rects:
         return 0
     xs = np.array(sorted({r[0] for r in rects} | {r[2] for r in rects}), dtype=np.int64)
@@ -871,9 +880,9 @@ def union_area(rooms):
 def plan_is_valid(plan):
     """All polygons (boundary and rooms) rectilinear, simple, nonzero area."""
     try:
-        geometry.normalize_loop(plan.boundary)
+        normalize_loop(plan.boundary)
         for room in plan.rooms:
-            geometry.normalize_loop(room.vertices)
+            normalize_loop(room.vertices)
     except ErgoplanError:
         return False
     return True
@@ -885,10 +894,10 @@ def plan_coverage(plan):
     Covered area is the rooms' union intersected with the boundary, by
     inclusion-exclusion, so room area outside the boundary covers nothing.
     """
-    boundary_area = geometry.polygon_area(plan.boundary)
+    boundary_area = polygon_area(plan.boundary)
     union = union_area(plan.rooms)
     covered = union + boundary_area - union_area(plan.rooms + (plan.boundary,))
-    overlap = sum(geometry.polygon_area(r) for r in plan.rooms) - union
+    overlap = sum(polygon_area(r) for r in plan.rooms) - union
     return covered / boundary_area, overlap / boundary_area
 
 
@@ -897,8 +906,8 @@ def metrics_tally(sequences, cfg):
     except for the cost sums, which we keep in chunk order.
 
     Costs go through ergocost.ergonomic_cost, whose distances come from
-    ergocost.min_distance; patch that to this module's min_distance for the
-    earlier evaluation as a whole.
+    ergocost._distance_memo; patch that to this module's _distance_memo for
+    the earlier evaluation as a whole.
     """
     vocab = tokenizer.Vocabulary(cfg.resolution)
     tally = {
@@ -911,7 +920,7 @@ def metrics_tally(sequences, cfg):
         "perfect": 0,
     }
     for seq in sequences:
-        outcome = tokenizer.decode(seq, vocab)
+        outcome = decode(seq, vocab)
         if not outcome.ok:
             continue
         plan = outcome.plan
@@ -928,3 +937,206 @@ def metrics_tally(sequences, cfg):
             tally["costs"].append(report.total)
             tally["perfect"] += report.perfect
     return tally
+
+
+# --- earlier normalization, decoding and distance memo --------------------
+#
+# normalize_loop restarted its collinear scan after every removal and tested
+# simplicity with the general segment test; rect_decompose swept every
+# polygon, rectangles included; decode called is_coordinate once per token;
+# _distance_memo passed raw shapes to min_distance, which rebuilt both edge
+# lists on every call. Here min_distance resolves to this module's
+# edge-pair reference. The package's versions must give the same tuples,
+# exceptions, outcomes and reports.
+
+
+def _is_rectilinear(pts):
+    for i in range(len(pts)):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % len(pts)]
+        if (x0 == x1) == (y0 == y1):  # both equal: zero edge; both differ: diagonal
+            return False
+    return True
+
+
+def _direction(p, q):
+    return ((q[0] > p[0]) - (q[0] < p[0]), (q[1] > p[1]) - (q[1] < p[1]))
+
+
+def is_simple_loop(loop):
+    """True if the closed loop has no repeated vertices and no two
+    non-adjacent edges touch or cross."""
+    pts = _loop(loop)
+    n = len(pts)
+    if n < 3 or len(set(pts)) != n:
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            if _segments_intersect(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]):
+                return False
+    return True
+
+
+def normalize_loop(loop):
+    """Canonical form of a rectilinear simple loop.
+
+    Returns the loop CCW-oriented, with collinear midpoints removed, starting
+    at the lexicographically smallest vertex. Raises NotRectilinear,
+    SelfIntersecting, or DegenerateArea.
+    """
+    pts = _loop(loop)
+    # drop consecutive duplicates (including the wraparound)
+    dedup = []
+    for p in pts:
+        if not dedup or p != dedup[-1]:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    if len(dedup) < 4:
+        raise DegenerateArea(f"loop collapses to {len(dedup)} vertices")
+    if not _is_rectilinear(dedup):
+        raise NotRectilinear(f"loop has a non-axis-aligned edge: {dedup}")
+
+    # remove midpoints of straight runs; a 180-degree reversal is a spur
+    changed = True
+    while changed:
+        changed = False
+        n = len(dedup)
+        for i in range(n):
+            d_in = _direction(dedup[(i - 1) % n], dedup[i])
+            d_out = _direction(dedup[i], dedup[(i + 1) % n])
+            if d_in == d_out:
+                dedup.pop(i)
+                changed = True
+                break
+            if d_in == (-d_out[0], -d_out[1]):
+                raise SelfIntersecting(f"boundary reverses onto itself at {dedup[i]}")
+    if len(dedup) < 4:
+        raise DegenerateArea("loop collapses below 4 vertices")
+
+    if not is_simple_loop(dedup):
+        raise SelfIntersecting("non-adjacent edges touch or cross")
+
+    area2 = signed_area2(dedup)
+    if area2 == 0:
+        raise DegenerateArea("loop encloses zero area")
+    if area2 < 0:
+        dedup.reverse()
+
+    start = min(range(len(dedup)), key=lambda i: dedup[i])
+    return tuple(dedup[start:] + dedup[:start])
+
+
+def polygon_area(poly):
+    """Exact enclosed area in cells^2 of a simple rectilinear loop."""
+    pts = normalize_loop(poly)
+    return abs(signed_area2(pts)) // 2
+
+
+def rect_decompose(poly):
+    """Split a simple rectilinear polygon into disjoint axis-aligned
+    rectangles (x0, y0, x1, y1) whose union is exactly its interior.
+
+    Horizontal slab sweep: cut at every distinct vertex y; inside each slab
+    the interior is bounded by vertical edges spanning the slab, paired left
+    to right.
+    """
+    pts = normalize_loop(poly)
+    n = len(pts)
+    verticals = []
+    for i in range(n):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % n]
+        if x0 == x1:
+            verticals.append((x0, min(y0, y1), max(y0, y1)))
+    ys = sorted({p[1] for p in pts})
+    rects = []
+    for y0, y1 in zip(ys, ys[1:]):
+        xs = sorted(x for x, lo, hi in verticals if lo <= y0 and hi >= y1)
+        for xa, xb in zip(xs[0::2], xs[1::2]):
+            rects.append((xa, y0, xb, y1))
+    return rects
+
+
+def _read_coordinate_run(tokens, pos, vocab):
+    """Consume coordinate tokens starting at pos; return (points, next_pos)."""
+    coords = []
+    while pos < len(tokens) and vocab.is_coordinate(tokens[pos]):
+        coords.append(tokens[pos])
+        pos += 1
+    points = [(coords[i], coords[i + 1]) for i in range(0, len(coords) - 1, 2)]
+    return coords, points, pos
+
+
+def decode(tokens, vocab):
+    """Parse a raw token stream back into a plan.
+
+    This checks the sequence grammar only (segment order, arity, pairing);
+    geometric invariants of the decoded polygons are a separate concern,
+    checked by plan validation and the evaluation metrics.
+    """
+    tokens = [int(t) for t in getattr(tokens, "tokens", tokens)]
+
+    def fail(position, reason):
+        return ParseOutcome(position=position, reason=reason)
+
+    pos = 0
+    if pos >= len(tokens) or tokens[pos] != vocab.bos:
+        return fail(pos, "expected BOS")
+    pos += 1
+    if pos >= len(tokens) or tokens[pos] != vocab.boundary_token:
+        return fail(pos, "expected boundary start token")
+    pos += 1
+    coords, boundary, pos = _read_coordinate_run(tokens, pos, vocab)
+    if len(coords) % 2 == 1:
+        return fail(pos, "unpaired coordinate in boundary")
+    if len(coords) < 8:
+        return fail(pos, "boundary needs at least 4 vertices")
+    if pos >= len(tokens) or tokens[pos] != vocab.door_token:
+        return fail(pos, "expected door start token")
+    pos += 1
+    coords, door_points, pos = _read_coordinate_run(tokens, pos, vocab)
+    if len(coords) != 4:
+        return fail(pos, "door needs exactly 2 vertices")
+    rooms = []
+    while pos < len(tokens):
+        kind = vocab.room_type_of(tokens[pos])
+        if kind is None:
+            break
+        pos += 1
+        coords, points, pos = _read_coordinate_run(tokens, pos, vocab)
+        if len(coords) % 2 == 1:
+            return fail(pos, "unpaired coordinate in room")
+        if len(coords) < 8:
+            return fail(pos, "room needs at least 4 vertices")
+        rooms.append(RoomPolygon(kind, tuple(points)))
+    if pos >= len(tokens) or tokens[pos] != vocab.eos:
+        return fail(pos, "expected EOS or a segment start token")
+    pos += 1
+    while pos < len(tokens):
+        if tokens[pos] != vocab.pad:
+            return fail(pos, "unexpected token after EOS")
+        pos += 1
+    plan = FloorPlan(
+        resolution=vocab.resolution,
+        boundary=tuple(boundary),
+        door=DoorSegment(door_points[0], door_points[1]),
+        rooms=tuple(rooms),
+    )
+    return ParseOutcome(plan=plan)
+
+
+def _distance_memo(shapes, scale=None):
+    """distance(i, j): min_distance between shapes[i] and shapes[j],
+    computed at most once per unordered pair (min_distance is symmetric)."""
+    memo = {}
+
+    def distance(i, j):
+        key = (i, j) if i <= j else (j, i)
+        if key not in memo:
+            memo[key] = min_distance(shapes[i], shapes[j], scale)
+        return memo[key]
+
+    return distance

@@ -1,14 +1,16 @@
+import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPREAD_PLAN_COST_CELLS, make_plan, rect
+from conftest import SPREAD_PLAN_COST_CELLS, histogram_polygon, make_plan, rect
 from oracles import naive_ergonomic_cost
 
 from ergoplan import ergocost
 from ergoplan.dataset import mirror_plan, rotate_plan, synth_plan, SynthConfig
 from ergoplan.geometry import min_distance
-from ergoplan.plan import FloorPlan, RoomType, ScaleConfig
+from ergoplan.plan import DoorSegment, FloorPlan, RoomPolygon, RoomType, ScaleConfig
 
 CELLS = ScaleConfig(1.0)
 
@@ -295,3 +297,65 @@ def test_isometry_invariance_on_synthetic_plans(seed):
         rotated = rotate_plan(plan, turns)
         for variant in (rotated, mirror_plan(rotated)):
             assert ergocost.ergonomic_cost(variant, CELLS).total == base
+
+
+def earlier_cost(plan, scale):
+    """ergonomic_cost with the earlier distance memo: raw shapes, every edge
+    pair through the general segment test."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ergocost, "_distance_memo", oracles._distance_memo)
+        return ergocost.ergonomic_cost(plan, scale)
+
+
+def random_plan(seed, skylines):
+    """Rooms of every charged kind scattered over a 64-cell square: apart,
+    touching, overlapping and nested. Without skylines every room is a
+    rectangle loop, from a random start in either orientation, and the door
+    axis-aligned or a point, so every pair is two boxes. With skylines most
+    rooms are histogram polygons and the door may be diagonal."""
+    rng = np.random.default_rng(seed)
+    kinds = (
+        RoomType.Entrance,
+        RoomType.Kitchen,
+        RoomType.DiningRoom,
+        RoomType.Bathroom,
+        RoomType.LivingRoom,
+        RoomType.MasterRoom,
+        RoomType.SecondRoom,
+        RoomType.StudyRoom,
+        RoomType.Balcony,
+    )  # every kind a rule names
+    rooms = []
+    for _ in range(int(rng.integers(3, 9))):
+        x0, y0 = (int(v) for v in rng.integers(0, 40, 2))
+        if skylines and rng.random() < 0.7:
+            verts = histogram_polygon(rng, columns=int(rng.integers(1, 5)), base=(x0, y0))
+        else:
+            verts = rect(x0, y0, x0 + int(rng.integers(1, 16)), y0 + int(rng.integers(1, 16)))
+            k = int(rng.integers(4))
+            verts = verts[k:] + verts[:k]
+            verts = verts[::-1] if rng.random() < 0.5 else verts
+        rooms.append(RoomPolygon(kinds[int(rng.integers(len(kinds)))], verts))
+    x, y = (int(v) for v in rng.integers(0, 56, 2))
+    dx, dy = (int(v) for v in rng.integers(1, 8, 2))
+    ends = [(x + dx, y), (x, y + dy), (x, y)] + ([(x + dx, y + dy)] if skylines else [])
+    door = DoorSegment((x, y), ends[int(rng.integers(len(ends)))])
+    return FloorPlan(resolution=256, boundary=rect(0, 0, 64, 64), door=door, rooms=tuple(rooms))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_reports_same_as_with_raw_shape_distances(seed, skylines):
+    """Per-plan outlines and box gaps leave every ErgoReport, entries
+    included, as the earlier raw-shape distances made it."""
+    plan = random_plan(seed, skylines)
+    for scale in (ScaleConfig(), CELLS):
+        assert ergocost.ergonomic_cost(plan, scale) == earlier_cost(plan, scale)
+
+
+def test_synthesis_same_as_with_raw_shape_distances():
+    cfg = SynthConfig(de_ergonomize_fraction=0.5)
+    plans = [synth_plan(seed, cfg) for seed in range(60)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ergocost, "_distance_memo", oracles._distance_memo)
+        assert [synth_plan(seed, cfg) for seed in range(60)] == plans

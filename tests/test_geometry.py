@@ -10,8 +10,14 @@ from conftest import histogram_polygon, rect
 from oracles import naive_distance, raster_union_and_overlap
 
 from ergoplan import geometry
-from ergoplan.errors import DegenerateArea, NotRectilinear, SelfIntersecting
-from ergoplan.plan import DoorSegment, ScaleConfig
+from ergoplan.errors import (
+    DegenerateArea,
+    EmptyInput,
+    ErgoplanError,
+    NotRectilinear,
+    SelfIntersecting,
+)
+from ergoplan.plan import DoorSegment, RoomPolygon, RoomType, ScaleConfig
 
 
 def same_bits(x, y):
@@ -37,6 +43,57 @@ def distance_operands(seed):
     for b in ((x + dx, y), (x, y + dy), (x + dx, y + dy), (x, y)):
         others += [DoorSegment((x, y), b), ((x, y), b)]
     return a, others
+
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of the package error it raised."""
+    try:
+        return fn(*args)
+    except ErgoplanError as exc:
+        return type(exc), str(exc)
+
+
+def walk_loop(rng):
+    """A short random walk: steps of length 0 to 3 along x or along y, now
+    and then along both; half the walks end with a step back onto the
+    start's x, so that the closing edge is vertical."""
+    x, y = (int(v) for v in rng.integers(0, 8, 2))
+    pts = [(x, y)]
+    for _ in range(int(rng.integers(2, 10))):
+        dx, dy = (int(v) for v in rng.integers(-3, 4, 2))
+        r = rng.random()
+        if r < 0.45:
+            dy = 0
+        elif r < 0.9:
+            dx = 0
+        x, y = x + dx, y + dy
+        pts.append((x, y))
+    if rng.random() < 0.5:
+        pts.append((pts[0][0], y))
+    return tuple(pts)
+
+
+def loop_cases(seed):
+    """A skyline polygon and edits of it: reversed, restarted, with a
+    repeated vertex, a spur, a vertex moved off its axes, and pinched to its
+    point reflection at a shared corner; plus random walks."""
+    rng = np.random.default_rng(seed)
+    bx, by = (int(v) for v in rng.integers(0, 20, 2))
+    sky = histogram_polygon(rng, columns=int(rng.integers(1, 6)), base=(bx, by))
+    k = int(rng.integers(len(sky)))
+    x, y = sky[k]
+    step = int(rng.integers(1, 4))
+    reflected = tuple((2 * bx - px, 2 * by - py) for px, py in sky)
+    return [
+        sky,
+        sky[::-1],
+        sky[k:] + sky[:k],
+        sky[: k + 1] + sky[k:],
+        sky[: k + 1] + ((x + step, y), (x, y)) + sky[k + 1 :],
+        sky[:k] + ((x + step, y + step),) + sky[k + 1 :],
+        sky + reflected,
+        *(walk_loop(rng) for _ in range(8)),
+    ]
 
 
 def skyline_variants(seed):
@@ -98,6 +155,22 @@ class TestNormalize:
     def test_canonical_start_is_lexicographic_min(self, seed):
         out = geometry.normalize_loop(skyline_variants(seed)[0])
         assert out[0] == min(out)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1))
+    def test_same_as_earlier_normalization(self, seed):
+        """The one-sweep normalization returns the earlier restart loop's
+        tuple, or raises its exception class with its message."""
+        for loop in loop_cases(seed):
+            assert outcome(geometry.normalize_loop, loop) == outcome(oracles.normalize_loop, loop)
+            assert outcome(geometry.rect_decompose, loop) == outcome(oracles.rect_decompose, loop)
+
+    def test_cases_reach_every_outcome(self):
+        outcomes = [
+            outcome(geometry.normalize_loop, loop) for seed in range(40) for loop in loop_cases(seed)
+        ]
+        kinds = {got[0] if isinstance(got[0], type) else tuple for got in outcomes}
+        assert kinds == {tuple, NotRectilinear, SelfIntersecting, DegenerateArea}
 
 
 class TestArea:
@@ -234,6 +307,21 @@ class TestMinDistance:
         assert geometry.min_distance(rect(0, 0, 4, 8), door) == 0.0
         assert geometry.min_distance(rect(2, 4, 4, 8), door) == 2.0
 
+    def test_operand_without_vertices_raises_empty_input(self):
+        for empty in ([], (), RoomPolygon(RoomType.Kitchen, ())):
+            with pytest.raises(EmptyInput):
+                geometry.min_distance(rect(0, 0, 4, 4), empty)
+            with pytest.raises(EmptyInput):
+                geometry.min_distance(empty, rect(0, 0, 4, 4))
+
+    def test_outline_operands_give_the_raw_operands_distance(self):
+        a, others = distance_operands(7)
+        for b in others:
+            for p, q in ((a, b), (b, a)):
+                expected = geometry.min_distance(p, q)
+                assert geometry.min_distance(geometry.Outline(p), geometry.Outline(q)) == expected
+                assert geometry.min_distance(geometry.Outline(p), q) == expected
+
     def test_scale_factor_applied(self):
         d = geometry.min_distance(rect(0, 0, 1, 1), rect(3, 0, 4, 1), scale=0.5)
         assert d == 1.0
@@ -292,6 +380,34 @@ class TestOracleIdentity:
         a, others = distance_operands(seed)
         for b in others:
             for p, q in ((a, b), (b, a)):
+                assert same_bits(geometry.min_distance(p, q, scale), oracles.min_distance(p, q, scale))
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_min_distance_between_boxes(self, seed, scaled):
+        """Rectangle loops in either orientation and from any start, and
+        axis-aligned, zero-length or diagonal segments: apart, touching,
+        crossing and nested; flat four-vertex loops, which are their own
+        boxes too; and four-vertex loops that are not rectangles (the corners
+        out of order, one corner moved), which take the edge path."""
+        rng = np.random.default_rng(seed)
+        scale = ScaleConfig() if scaled else None
+        shapes = []
+        for _ in range(6):
+            x0, y0 = (int(v) for v in rng.integers(0, 20, 2))
+            x1, y1 = x0 + int(rng.integers(1, 12)), y0 + int(rng.integers(1, 12))
+            loop = rect(x0, y0, x1, y1)
+            k = int(rng.integers(4))
+            loop = loop[k:] + loop[:k]
+            shapes.append(loop[::-1] if rng.random() < 0.5 else loop)
+            dx, dy = (int(v) for v in rng.integers(-6, 7, 2))
+            end = [(x0 + dx, y0), (x0, y0 + dy), (x0 + dx, y0 + dy)][int(rng.integers(3))]
+            shapes.append(DoorSegment((x0, y0), end))
+        shapes.append(((x0, y0), (x1, y0), (x1, y0), (x0, y0)))
+        shapes.append(((x0, y0), (x1, y1), (x1, y0), (x0, y1)))
+        shapes.append(((x0, y0), (x1, y0), (x1, y1), (x0, y1 + int(rng.integers(1, 4)))))
+        for p in shapes:
+            for q in shapes:
                 assert same_bits(geometry.min_distance(p, q, scale), oracles.min_distance(p, q, scale))
 
     @settings(max_examples=100)

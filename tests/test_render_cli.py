@@ -122,6 +122,29 @@ class TestCli:
         assert report["parsability"] == 1.0
         assert report["validity"] == 1.0
 
+    def test_eval_reports_throughput_and_failures_on_stderr(self, corpus_dir, tmp_path, capsys):
+        vocab = tokenizer.Vocabulary(256)
+        lines = [
+            tokenizer.format_token_line(tokenizer.encode(plan, vocab))
+            for plan in dataset.load_corpus(corpus_dir).plans
+        ]
+        lines[0] = lines[0].rsplit(" ", 3)[0]  # EOS and the last room's last pair dropped
+        tokens_file = tmp_path / "tokens.txt"
+        tokens_file.write_text("\n".join(lines) + "\n")
+        report_file = tmp_path / "r.json"
+        assert main(["--format", "json", "eval", str(tokens_file), "--out", str(report_file)]) == 0
+        captured = capsys.readouterr()
+        stdout = json.loads(captured.out)
+        assert stdout == json.loads(report_file.read_text())
+        assert stdout["failures"] == {"room needs at least 4 vertices": 1}
+        (line,) = captured.err.splitlines()
+        assert re.fullmatch(
+            r"evaluated 6 sequences in \d+\.\d\d s \(\d+ seq/s\), failures: 1 room needs at least 4 vertices",
+            line,
+        )
+        assert main(["eval", "--corpus", str(corpus_dir)]) == 0
+        assert capsys.readouterr().err.endswith("failures: none\n")
+
     def test_augment_expands_corpus(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "aug"
         assert main(["augment", "--in", str(corpus_dir), "--out", str(out), "--mirror"]) == 0

@@ -1,5 +1,8 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_plan, rect
 
@@ -122,6 +125,35 @@ def test_decode_is_total_on_fuzz(rng):
         seq = rng.integers(0, V.size, size=n).tolist()
         out = decode(seq, V)
         assert out.ok or (out.position is not None and out.reason)
+
+
+def mutated_encoding(seed):
+    """A synthetic plan's tokens after a few random replacements, insertions
+    and deletions, with out-of-range ids and trailing pads among them."""
+    rng = np.random.default_rng(seed)
+    tokens = list(encode(synth_plan(seed % 50), V).tokens) + [V.pad] * int(rng.integers(0, 3))
+    for _ in range(int(rng.integers(0, 4))):
+        at = int(rng.integers(len(tokens) + 1))
+        token = int(rng.integers(-2, V.size + 2)) if rng.random() < 0.5 else int(rng.integers(0, 256))
+        op = rng.random()
+        if op < 0.4:
+            tokens.insert(at, token)
+        elif at < len(tokens):
+            if op < 0.7:
+                del tokens[at]
+            else:
+                tokens[at] = token
+    return tokens
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(-2, V.size + 1), max_size=40))
+def test_decode_same_as_earlier_decoder(seed, stream):
+    """Reading each coordinate run as one slice gives the earlier
+    per-token decoder's outcome: the same plan, or the same failure
+    position and reason."""
+    for tokens in (mutated_encoding(seed), stream, [V.bos, V.boundary_token, *stream]):
+        assert decode(tokens, V) == oracles.decode(tokens, V)
 
 
 def test_room_vertex_coordinate_classification(tiling_plan):
