@@ -12,6 +12,9 @@ import functools
 import hashlib
 import json
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,9 +154,106 @@ class _Workspace:
         return view
 
 
+class _Rows:
+    """The take() of forward_logits' row halves: the rows `rows` of the
+    whole-batch views `views`, which the calling thread took beforehand. It
+    only slices, so it is safe on any thread."""
+
+    def __init__(self, views, rows):
+        self.views = views
+        self.rows = rows
+
+    def take(self, name, shape, dtype):
+        view = self.views[name][self.rows]
+        assert view.shape == shape and view.dtype == dtype, name
+        return view
+
+
+# forward_logits and backward_logits split a batch into the row halves
+# [0:b//2] and [b//2:b], which run at the same time: the calling thread
+# takes the first and one worker thread the second. Every operation of a
+# half acts on its own rows, every sum over rows runs whole once both halves
+# have written its operand, and numpy issues the same per-sample BLAS calls
+# for half a batch, so the results are bit-identical to one thread's. A
+# process limited to one CPU (taskset -c 0) runs the halves in turn.
+_jobs = None  # the worker's queue, created on first use
+_jobs_lock = threading.Lock()
+
+
+def _forget_worker():
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()  # a forked child has no worker
+
+
+if hasattr(os, "register_at_fork"):  # elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker():
+    global _jobs
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), daemon=True, name="ergoplan").start()
+        return _jobs
+
+
+def _serve(jobs):
+    while True:
+        jobs.get()()  # holds no reference to a job once it has run
+
+
+def _drain(pending, errors):
+    for job in pending:  # a shared iterator: each job runs on one thread
+        try:
+            job()
+        except BaseException as exc:  # raised again by _run
+            errors.append(exc)
+
+
+def _run(first, second=None, *rest):
+    """Runs every job once: first on the calling thread, second on the
+    worker, and the rest on whichever of the two is free first. The jobs
+    must not depend on one another or call _run. Returns when all have
+    ended and raises the first exception any of them raised."""
+    if second is None or _cpus() < 2:
+        for job in (first, second, *rest):
+            if job is not None:
+                job()
+        return
+    pending, errors, done = iter(rest), [], threading.Lock()
+    done.acquire()
+
+    def work():
+        try:
+            _drain((second,), errors)
+            _drain(pending, errors)
+        finally:
+            done.release()
+
+    _worker().put(work)
+    _drain((first,), errors)
+    _drain(pending, errors)
+    done.acquire()  # the worker has ended its jobs
+    if errors:
+        raise errors[0]
+
+
+def _halves(b, half):
+    """Jobs running half(rows) over the two row halves of a batch of b."""
+    mid = b // 2
+    if mid == 0:
+        return [functools.partial(half, slice(0, b))]
+    return [functools.partial(half, slice(0, mid)), functools.partial(half, slice(mid, b))]
+
+
 def _gelu(x, t, out):
-    """tanh-form GELU of x into out; t receives the tanh cache for the
-    backward pass. Returns (value, tanh cache)."""
+    """tanh-form GELU of x into out, which is returned; t receives the tanh
+    cache for the backward pass."""
     np.multiply(x, x, out=t)
     t *= x
     t *= _GELU_A
@@ -163,7 +263,7 @@ def _gelu(x, t, out):
     np.add(t, 1.0, out=out)
     out *= x
     out *= 0.5
-    return out, t
+    return out
 
 
 def _gelu_grad(x, t, du, rest):
@@ -197,26 +297,24 @@ def _mean_last(x):
 
 
 def _layernorm(x, g, b, ws, name):
-    """Layer norm of x into the buffer `name`; returns (output, (xhat, inv)),
-    with xhat in the buffer `name`.xhat."""
+    """Layer norm of x into the buffer `name`; the backward pass reads xhat
+    and inv from the buffers `name`.xhat and `name`.inv."""
     mu = _mean_last(x)
     xhat = np.subtract(x, mu, out=ws.take(name + ".xhat", x.shape, x.dtype))
     out = np.square(xhat, out=ws.take(name, x.shape, x.dtype))
     var = _mean_last(out)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    inv = np.divide(1.0, np.sqrt(var + _LN_EPS), out=ws.take(name + ".inv", var.shape, var.dtype))
     xhat *= inv
     np.multiply(xhat, g, out=out)
     out += b
-    return out, (xhat, inv)
+    return out
 
 
 def _layernorm_backward(dy, g, cache, scratch):
-    """Overwrites dy with the input gradient; returns (dx, dg, db)."""
+    """Overwrites dy with the input gradient and returns it. The gain and
+    bias gradients are the sums over rows of dy * xhat and of dy, which the
+    caller takes beforehand."""
     xhat, inv = cache
-    axes = tuple(range(dy.ndim - 1))
-    np.multiply(dy, xhat, out=scratch)
-    dg = scratch.sum(axis=axes)
-    db = dy.sum(axis=axes)
     dxhat = dy
     dxhat *= g
     np.multiply(dxhat, xhat, out=scratch)
@@ -225,7 +323,7 @@ def _layernorm_backward(dy, g, cache, scratch):
     np.multiply(xhat, proj, out=scratch)
     dxhat -= scratch
     dxhat *= inv
-    return dxhat, dg, db
+    return dxhat
 
 
 def _softmax(z):
@@ -259,14 +357,13 @@ def _embed(params, tokens, positions, xy, vert, ws):
 
 
 def _attention_inputs(params, i, x, ws, tag):
-    """Layer i's pre-norm and qkv projection of x (..., D); returns the
-    normed input, its layernorm cache, and q, k and v as (..., D) views.
-    Buffer names start with tag."""
-    a, ln1_cache = _layernorm(x, params[f"h{i}.ln1.g"], params[f"h{i}.ln1.b"], ws, tag + "ln1")
+    """Layer i's pre-norm and qkv projection of x (..., D); returns q, k
+    and v as (..., D) views. Buffer names start with tag."""
+    a = _layernorm(x, params[f"h{i}.ln1.g"], params[f"h{i}.ln1.b"], ws, tag + "ln1")
     w = params[f"h{i}.attn.wqkv"]
     qkv = np.matmul(a, w, out=ws.take(tag + "qkv", (*x.shape[:-1], w.shape[1]), x.dtype))
     qkv += params[f"h{i}.attn.bqkv"]
-    return (a, ln1_cache, *np.split(qkv, 3, axis=-1))
+    return np.split(qkv, 3, axis=-1)
 
 
 def _attention_probs(q, k, mask, scale, out):
@@ -287,30 +384,86 @@ def _attention_output(params, i, ctx, x, ws):
 
 
 def _mlp_block(params, i, x1, ws, tag):
-    """Layer i's pre-norm GELU MLP and residual; returns (output, cache).
-    The output goes to the buffer "x", so the block's input must not be
-    there; cached buffer names start with tag."""
-    m, ln2_cache = _layernorm(x1, params[f"h{i}.ln2.g"], params[f"h{i}.ln2.b"], ws, tag + "ln2")
+    """Layer i's pre-norm GELU MLP and residual. The output goes to the
+    buffer "x", so the block's input must not be there; the names of the
+    buffers the backward pass reads start with tag."""
+    m = _layernorm(x1, params[f"h{i}.ln2.g"], params[f"h{i}.ln2.b"], ws, tag + "ln2")
     w = params[f"h{i}.mlp.wfc"]
     shape = (*x1.shape[:-1], w.shape[1])
     fc = np.matmul(m, w, out=ws.take(tag + "fc", shape, x1.dtype))
     fc += params[f"h{i}.mlp.bfc"]
-    act, tanh_cache = _gelu(
-        fc, ws.take(tag + "tanh", shape, x1.dtype), ws.take(tag + "act", shape, x1.dtype)
-    )
+    act = _gelu(fc, ws.take(tag + "tanh", shape, x1.dtype), ws.take(tag + "act", shape, x1.dtype))
     x = np.matmul(act, params[f"h{i}.mlp.wproj"], out=ws.take("x", x1.shape, x1.dtype))
     x += params[f"h{i}.mlp.bproj"]
     x += x1
-    return x, {"m": m, "ln2": ln2_cache, "fc": fc, "tanh": tanh_cache, "act": act}
+    return x
 
 
-def forward_logits(params, cfg, tokens, xy, vert, need_cache=False, workspace=None):
+def _split_heads(u, heads):
+    """(B, T, D) -> (B, H, T, D/H) view."""
+    b, t, d = u.shape
+    return u.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _forward_buffers(cfg, b, t, vocab, dtype, tags, ws):
+    """Every whole-batch buffer the layer stack writes, by name; layer i's
+    names start with tags[i]."""
+    d, h = cfg.embed_dim, cfg.heads
+    row, wide, norm = (b, t, d), (b, t, 4 * d), (b, t, 1)
+    shapes = {"x": row, "x1": row, "lnf": row, "lnf.xhat": row, "lnf.inv": norm}
+    shapes["logits"] = (b, t, vocab)
+    for tag in set(tags):
+        for ln in ("ln1", "ln2"):
+            shapes.update({tag + ln: row, tag + ln + ".xhat": row, tag + ln + ".inv": norm})
+        shapes.update({tag + "qkv": (b, t, 3 * d), tag + "probs": (b, h, t, t), tag + "ctx": row})
+        shapes.update({tag + "fc": wide, tag + "tanh": wide, tag + "act": wide})
+    views = {name: ws.take(name, shape, dtype) for name, shape in shapes.items()}
+    # the embedding rows and each layer's heads go through x1's buffer, which
+    # is spent from the MLP residual until the attention output
+    views["emb"] = views["x1"]
+    views["heads"] = ws.take("x1", (b, h, t, d // h), dtype)
+    return views
+
+
+def _forward_rows(params, cfg, batch, mask, tags, kv, views, rows):
+    """The layer stack over the rows `rows` of batch = (tokens, xy, vert),
+    into those rows of `views`. With kv = (keys, values), each layer's k and
+    v also go to the same rows of keys[i] and values[i]."""
+    tokens, xy, vert = (a[rows] for a in batch)
+    b, t = tokens.shape
+    ws = _Rows(views, rows)
+    h = cfg.heads
+    hd = cfg.embed_dim // h
+    scale = float(1.0 / np.sqrt(hd))
+    x = _embed(params, tokens, slice(t), xy, vert, ws)
+    dtype = x.dtype
+    for i, tag in enumerate(tags):
+        q, k, v = _attention_inputs(params, i, x, ws, tag)
+        q, k, v = (_split_heads(u, h) for u in (q, k, v))
+        if kv is not None:
+            kv[0][i][rows, :, :t] = k
+            kv[1][i][rows, :, :t] = v
+        probs = _attention_probs(q, k, mask, scale, ws.take(tag + "probs", (b, h, t, t), dtype))
+        heads = np.matmul(probs, v, out=ws.take("heads", (b, h, t, hd), dtype))
+        ctx = ws.take(tag + "ctx", (b, t, cfg.embed_dim), dtype)
+        ctx.reshape(b, t, h, hd)[...] = heads.transpose(0, 2, 1, 3)
+        x1 = _attention_output(params, i, ctx, x, ws)
+        x = _mlp_block(params, i, x1, ws, tag)
+    hfinal = _layernorm(x, params["lnf.g"], params["lnf.b"], ws, "lnf")
+    table = params["tok_emb"]
+    np.matmul(hfinal, table.T, out=ws.take("logits", (b, t, len(table)), dtype))
+
+
+def forward_logits(params, cfg, tokens, xy, vert, need_cache=False, workspace=None, kv=None):
     """Next-token logits for an integer batch (B, T); rows at position t are
     the prediction for token t+1.
 
     The logits and the cache are views into `workspace` (a fresh one when
     None) and stay valid until it is used again. With need_cache every
-    layer keeps its own buffers; without, the layers share one set."""
+    layer keeps its own buffers; without, the layers share one set. With
+    kv = (keys, values), one (B, H, >= T, head_dim) array per layer each,
+    every layer's k and v are also written to their first T positions.
+    The two row halves of the batch run at the same time (see _run)."""
     tokens = np.asarray(tokens)
     xy = np.asarray(xy)
     vert = np.asarray(vert)
@@ -328,39 +481,27 @@ def forward_logits(params, cfg, tokens, xy, vert, need_cache=False, workspace=No
         raise OutOfRange(f"vertex index outside 0..{cfg.max_vertex_index}")
     ws = workspace if workspace is not None else _Workspace()
 
-    x = _embed(params, tokens, slice(t), xy, vert, ws)
-    dtype = x.dtype
-    mask = _causal_mask(t, dtype)
-    h = cfg.heads
-    hd = cfg.embed_dim // h
-    scale = float(1.0 / np.sqrt(hd))
-    cache = {"tokens": tokens, "xy": xy, "vert": vert, "layers": []}
-
-    for i in range(cfg.layers):
-        tag = f"h{i}." if need_cache else ""
-        a, ln1_cache, q, k, v = _attention_inputs(params, i, x, ws, tag)
-        q = q.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-        k = k.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-        v = v.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-        probs = _attention_probs(q, k, mask, scale, ws.take(tag + "probs", (b, h, t, t), dtype))
-        heads = np.matmul(probs, v, out=ws.take("heads", (b, h, t, hd), dtype))
-        ctx = ws.take(tag + "ctx", (b, t, cfg.embed_dim), dtype)
-        ctx.reshape(b, t, h, hd)[...] = heads.transpose(0, 2, 1, 3)
-        x1 = _attention_output(params, i, ctx, x, ws)
-        x, mlp_cache = _mlp_block(params, i, x1, ws, tag)
-        if need_cache:
-            cache["layers"].append(
-                dict(a=a, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, ctx=ctx, **mlp_cache)
-            )
-
-    hfinal, lnf_cache = _layernorm(x, params["lnf.g"], params["lnf.b"], ws, "lnf")
     table = params["tok_emb"]
-    logits = np.matmul(hfinal, table.T, out=ws.take("logits", (b, t, len(table)), dtype))
-    if need_cache:
-        cache["hfinal"] = hfinal
-        cache["lnf"] = lnf_cache
-        return logits, cache
-    return logits
+    tags = [f"h{i}." if need_cache else "" for i in range(cfg.layers)]
+    # the halves only slice these: _Workspace.take is for this thread alone
+    views = _forward_buffers(cfg, b, t, len(table), table.dtype, tags, ws)
+    mask = _causal_mask(t, table.dtype)
+    half = functools.partial(_forward_rows, params, cfg, (tokens, xy, vert), mask, tags, kv, views)
+    _run(*_halves(b, half))
+    logits = views["logits"]
+    if not need_cache:
+        return logits
+    cache = {"tokens": tokens, "xy": xy, "vert": vert, "layers": []}
+    for tag in tags:
+        q, k, v = (_split_heads(u, cfg.heads) for u in np.split(views[tag + "qkv"], 3, axis=-1))
+        layer = {key: views[tag + key] for key in ("probs", "ctx", "fc", "tanh", "act")}
+        layer.update(a=views[tag + "ln1"], m=views[tag + "ln2"], q=q, k=k, v=v)
+        for ln in ("ln1", "ln2"):
+            layer[ln] = (views[tag + ln + ".xhat"], views[tag + ln + ".inv"])
+        cache["layers"].append(layer)
+    cache["hfinal"] = views["lnf"]
+    cache["lnf"] = (views["lnf.xhat"], views["lnf.inv"])
+    return logits, cache
 
 
 def _decode_step(params, cfg, keys, values, tokens, positions, xy, vert, workspace=None):
@@ -383,24 +524,35 @@ def _decode_step(params, cfg, keys, values, tokens, positions, xy, vert, workspa
     scale = float(1.0 / np.sqrt(hd))
     rows = np.arange(b)
     for i in range(cfg.layers):
-        _, _, q, k, v = _attention_inputs(params, i, x, ws, "")
+        q, k, v = _attention_inputs(params, i, x, ws, "")
         keys[i][rows, :, positions] = k.reshape(b, h, hd)
         values[i][rows, :, positions] = v.reshape(b, h, hd)
         out = ws.take("probs", (b, h, 1, n), dtype)
         probs = _attention_probs(q.reshape(b, h, 1, hd), keys[i][:b, :, :n], mask, scale, out)
         heads = np.matmul(probs, values[i][:b, :, :n], out=ws.take("heads", (b, h, 1, hd), dtype))
         x1 = _attention_output(params, i, heads.reshape(b, cfg.embed_dim), x, ws)
-        x, _ = _mlp_block(params, i, x1, ws, "")
-    hfinal, _ = _layernorm(x, params["lnf.g"], params["lnf.b"], ws, "lnf")
+        x = _mlp_block(params, i, x1, ws, "")
+    hfinal = _layernorm(x, params["lnf.g"], params["lnf.b"], ws, "lnf")
     table = params["tok_emb"]
     return np.matmul(hfinal, table.T, out=ws.take("logits", (b, len(table)), dtype))
+
+
+def _add_rows(table, ids, rows):
+    """np.add.at(table, ids, rows) for a zeroed table, one sum per id that
+    occurs: a sum over axis 0 adds the rows in order onto 0.0, as add.at
+    adds them onto the zero row."""
+    for i in np.unique(ids):
+        table[i] += rows[ids == i].sum(axis=0)
 
 
 def backward_logits(params, cfg, cache, dlogits, workspace=None):
     """Gradients of a scalar loss given d loss / d logits; mirrors
     forward_logits step by step. Reads cache and dlogits without changing
     them. The gradients and every temporary are views into `workspace` (a
-    fresh one when None); its names must not be the cache's."""
+    fresh one when None); its names must not be the cache's.
+
+    The row-local chain runs as row halves (see _run); each sum over rows
+    runs whole, beside a later row region or between two."""
     ws = workspace if workspace is not None else _Workspace()
     grads = {}
     for name, arr in params.items():
@@ -414,73 +566,140 @@ def backward_logits(params, cfg, cache, dlogits, workspace=None):
     d = cfg.embed_dim
     dtype = dlogits.dtype
 
-    def take(name, shape):
-        return ws.take(name, shape, dtype)
+    def take(name, *shapes):
+        # whole-batch views at the front of one buffer, taken on this thread
+        # only; the halves slice them
+        ws.take(name, (max(map(math.prod, shapes)),), dtype)
+        return [ws.take(name, shape, dtype) for shape in shapes]
 
-    def accumulate(name, inputs, dout):
-        grads[name] += np.matmul(inputs, dout, out=take("dw", grads[name].shape))
+    def summed(name, x):
+        def job():
+            grads[name] += x.sum((0, 1))
+
+        return job
+
+    def product(name, inputs, dout):
+        def job():
+            # straight into the zeroed gradient; adding 0.0 turns -0.0 into
+            # 0.0, exactly as adding the product to zeros did
+            g = np.matmul(inputs, dout, out=grads[name])
+            g += 0.0
+
+        return job
 
     # the MLP branch's (B, T, 4D) scratch and the attention branch's
-    # (B, H, T, T) scratch are never live together, so they share "s0"-"s2",
-    # and da takes dctx's buffer once dv, dq and dk are formed; the residual
-    # stream alternates between "dx0" and "dx1"
-    ln_scratch = take("dln", (b, t, d))
-    hfinal = cache["hfinal"]
-    accumulate("tok_emb", dlogits.reshape(-1, cfg.vocab_size).T, hfinal.reshape(-1, d))
-    dh = np.matmul(dlogits, params["tok_emb"], out=take(f"dx{cfg.layers % 2}", (b, t, d)))
-    dx, dg, db = _layernorm_backward(dh, params["lnf.g"], cache["lnf"], ln_scratch)
-    grads["lnf.g"] += dg
-    grads["lnf.b"] += db
+    # (B, H, T, T) scratch are never live together, so they share "s0"-"s2".
+    # The residual stream alternates between "dx0" and "dx1"; (B, T, D)
+    # buffers double as (B, H, T, D/H) ones once spent: dv goes to the
+    # layer's input stream after the residual, dq to dctx after dv and the
+    # scores, dk to dln after the layer norm, and da to dctx after the merge
+    row, wide, square, split = (b, t, d), (b, t, 4 * d), (b, h, t, t), (b, h, t, hd)
+    dfc, dscores = take("s0", wide, square)
+    gelu_scratch, pscratch = take("s1", wide, square)
+    rest, dqkv = take("s2", wide, (b, t, 3 * d))
+    dln, dk = take("dln", row, split)
+    dctx, dq = take("dctx", row, split)
+    streams = [take(name, row, split) for name in ("dx0", "dx1")]
 
+    table = params["tok_emb"]
+    dx, dv = streams[cfg.layers % 2]
+    xhat, inv = cache["lnf"]
+
+    def head(r):
+        np.matmul(dlogits[r], table, out=dx[r])
+        np.multiply(dx[r], xhat[r], out=dln[r])
+
+    _run(
+        *_halves(b, head),
+        product("tok_emb", dlogits.reshape(-1, len(table)).T, cache["hfinal"].reshape(-1, d)),
+    )
+    grads["lnf.g"] += dln.sum((0, 1))
+    grads["lnf.b"] += dx.sum((0, 1))
+
+    def finish(r, dx=dx):  # the final layer norm's input gradient
+        _layernorm_backward(dx[r], params["lnf.g"], (xhat[r], inv[r]), dln[r])
+
+    # four row regions per layer; each sum over rows runs beside the first
+    # region that starts once its operand is complete, or between regions
+    # when that one would overwrite the operand (the layer norms' sums)
     for i in reversed(range(cfg.layers)):
         lc = cache["layers"][i]
-        # MLP branch
-        grads[f"h{i}.mlp.bproj"] += dx.sum((0, 1))
-        accumulate(f"h{i}.mlp.wproj", lc["act"].reshape(-1, 4 * d).T, dx.reshape(-1, d))
-        dfc = np.matmul(dx, params[f"h{i}.mlp.wproj"].T, out=take("s0", (b, t, 4 * d)))
-        dfc *= _gelu_grad(lc["fc"], lc["tanh"], take("s1", dfc.shape), take("s2", dfc.shape))
-        grads[f"h{i}.mlp.bfc"] += dfc.sum((0, 1))
-        accumulate(f"h{i}.mlp.wfc", lc["m"].reshape(-1, d).T, dfc.reshape(-1, 4 * d))
-        dm = np.matmul(dfc, params[f"h{i}.mlp.wfc"].T, out=take(f"dx{i % 2}", (b, t, d)))
-        dx1, dg, db = _layernorm_backward(dm, params[f"h{i}.ln2.g"], lc["ln2"], ln_scratch)
-        grads[f"h{i}.ln2.g"] += dg
-        grads[f"h{i}.ln2.b"] += db
-        dx1 += dx  # residual
+        p = f"h{i}."
+        dm, next_dv = streams[i % 2]
 
-        # attention branch
-        grads[f"h{i}.attn.bproj"] += dx1.sum((0, 1))
-        accumulate(f"h{i}.attn.wproj", lc["ctx"].reshape(-1, d).T, dx1.reshape(-1, d))
-        dctx = np.matmul(dx1, params[f"h{i}.attn.wproj"].T, out=take("dctx", (b, t, d)))
-        dctx = dctx.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-        probs, v = lc["probs"], lc["v"]
-        dscores = np.matmul(dctx, v.transpose(0, 1, 3, 2), out=take("s0", probs.shape))
-        dv = np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=take("dv", v.shape))
-        dscores -= np.multiply(dscores, probs, out=take("s1", probs.shape)).sum(-1, keepdims=True)
-        dscores *= probs
-        dq = np.matmul(dscores, lc["k"], out=take("dq", v.shape))
-        dq *= scale
-        dk = np.matmul(dscores.transpose(0, 1, 3, 2), lc["q"], out=take("dk", v.shape))
-        dk *= scale
-        dqkv = take("s2", (b, t, 3 * d))
-        heads = dqkv.reshape(b, t, 3, h, hd)
-        for j, g in enumerate((dq, dk, dv)):
-            heads[:, :, j] = g.transpose(0, 2, 1, 3)
-        grads[f"h{i}.attn.bqkv"] += dqkv.sum((0, 1))
-        accumulate(f"h{i}.attn.wqkv", lc["a"].reshape(-1, d).T, dqkv.reshape(-1, 3 * d))
-        da = np.matmul(dqkv, params[f"h{i}.attn.wqkv"].T, out=take("dctx", (b, t, d)))
-        dxa, dg, db = _layernorm_backward(da, params[f"h{i}.ln1.g"], lc["ln1"], ln_scratch)
-        grads[f"h{i}.ln1.g"] += dg
-        grads[f"h{i}.ln1.b"] += db
-        dx1 += dxa  # residual
-        dx = dx1
+        def mlp_in(r):  # the previous layer norm ends, the MLP branch starts
+            finish(r)
+            out = np.matmul(dx[r], params[p + "mlp.wproj"].T, out=dfc[r])
+            out *= _gelu_grad(lc["fc"][r], lc["tanh"][r], gelu_scratch[r], rest[r])
 
+        def mlp_out(r):
+            np.matmul(dfc[r], params[p + "mlp.wfc"].T, out=dm[r])
+            np.multiply(dm[r], lc["ln2"][0][r], out=dln[r])
+
+        def attention(r):
+            xhat2, inv2 = lc["ln2"]
+            dx1 = _layernorm_backward(dm[r], params[p + "ln2.g"], (xhat2[r], inv2[r]), dln[r])
+            dx1 += dx[r]  # residual
+            heads = _split_heads(np.matmul(dx1, params[p + "attn.wproj"].T, out=dctx[r]), h)
+            probs, v = lc["probs"][r], lc["v"][r]
+            scores = np.matmul(heads, v.transpose(0, 1, 3, 2), out=dscores[r])
+            np.matmul(probs.transpose(0, 1, 3, 2), heads, out=dv[r])
+            scores -= np.multiply(scores, probs, out=pscratch[r]).sum(-1, keepdims=True)
+            scores *= probs
+            q = np.matmul(scores, lc["k"][r], out=dq[r])
+            q *= scale
+            k = np.matmul(scores.transpose(0, 1, 3, 2), lc["q"][r], out=dk[r])
+            k *= scale
+            merged = dqkv[r].reshape(len(q), t, 3, h, hd)
+            for j, g in enumerate((q, k, dv[r])):
+                merged[:, :, j] = g.transpose(0, 2, 1, 3)
+
+        def attention_in(r):
+            np.matmul(dqkv[r], params[p + "attn.wqkv"].T, out=dctx[r])
+            np.multiply(dctx[r], lc["ln1"][0][r], out=dln[r])
+
+        _run(*_halves(b, mlp_in))
+        _run(
+            *_halves(b, mlp_out),
+            summed(p + "mlp.bproj", dx),
+            product(p + "mlp.wproj", lc["act"].reshape(-1, 4 * d).T, dx.reshape(-1, d)),
+            summed(p + "mlp.bfc", dfc),
+            product(p + "mlp.wfc", lc["m"].reshape(-1, d).T, dfc.reshape(-1, 4 * d)),
+        )
+        grads[p + "ln2.g"] += dln.sum((0, 1))
+        grads[p + "ln2.b"] += dm.sum((0, 1))
+        _run(*_halves(b, attention))
+        _run(
+            *_halves(b, attention_in),
+            summed(p + "attn.bproj", dm),
+            product(p + "attn.wproj", lc["ctx"].reshape(-1, d).T, dm.reshape(-1, d)),
+            summed(p + "attn.bqkv", dqkv),
+            product(p + "attn.wqkv", lc["a"].reshape(-1, d).T, dqkv.reshape(-1, 3 * d)),
+        )
+        grads[p + "ln1.g"] += dln.sum((0, 1))
+        grads[p + "ln1.b"] += dctx.sum((0, 1))
+
+        def finish(r, g=params[p + "ln1.g"], ln1=lc["ln1"], dx1=dm):  # with the residual
+            out = dx1[r]
+            out += _layernorm_backward(dctx[r], g, (ln1[0][r], ln1[1][r]), dln[r])
+
+        dx, dv = dm, next_dv
+
+    _run(*_halves(b, finish))
     tokens, xy, vert = cache["tokens"], cache["xy"], cache["vert"]
     flat = dx.reshape(-1, d)
-    np.add.at(grads["tok_emb"], tokens.ravel(), flat)
-    pos = np.broadcast_to(np.arange(t), tokens.shape).ravel()
-    np.add.at(grads["pos_emb"], pos, flat)
-    np.add.at(grads["xy_emb"], xy.ravel(), flat)
-    np.add.at(grads["vert_emb"], vert.ravel(), flat)
+
+    def positions():
+        at = grads["pos_emb"][:t]
+        for sample in dx:  # in sample order, as add.at adds them
+            at += sample
+
+    _run(
+        lambda: np.add.at(grads["tok_emb"], tokens.ravel(), flat),
+        positions,
+        lambda: _add_rows(grads["xy_emb"], xy.ravel(), flat),
+        lambda: _add_rows(grads["vert_emb"], vert.ravel(), flat),
+    )
     return grads
 
 
@@ -549,15 +768,11 @@ class Model:
         # the (xy, vertex) indices of each row's last token
         last = [(seq.xy_index[-1], seq.vertex_index[-1]) for seq, _ in prefill]
         tokens, xy, vert = _pad_batch(prefill, vocab, cfg.max_vertex_index)
-        width = tokens.shape[1]
-        logits, cache = forward_logits(params, cfg, tokens, xy, vert, need_cache=True)
         shape = (len(live), cfg.heads, limit, cfg.embed_dim // cfg.heads)
-        keys = [np.zeros(shape, dtype=logits.dtype) for _ in range(cfg.layers)]
-        values = [np.zeros(shape, dtype=logits.dtype) for _ in range(cfg.layers)]
-        for k, v, layer in zip(keys, values, cache["layers"]):
-            k[:, :, :width] = layer["k"]
-            v[:, :, :width] = layer["v"]
-        del cache
+        dtype = params["tok_emb"].dtype
+        keys = [np.zeros(shape, dtype=dtype) for _ in range(cfg.layers)]
+        values = [np.zeros(shape, dtype=dtype) for _ in range(cfg.layers)]
+        logits = forward_logits(params, cfg, tokens, xy, vert, kv=(keys, values))
         ends = np.array([len(seqs[i]) - 1 for i in live])
         choices = logits[np.arange(len(live)), ends].argmax(-1)
         ws = _Workspace()

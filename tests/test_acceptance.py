@@ -7,6 +7,7 @@ budget is 30 CPU-minutes).
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -32,6 +33,13 @@ def record(num, name, ok, detail=""):
     _RESULTS.append(line)
     print("\n" + line)
     assert ok, line
+
+
+def host():
+    """What a quoted checksum or cost is tied to besides the code: the BLAS
+    thread count and the CPUs training may spread its row halves over."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"OPENBLAS_NUM_THREADS {blas}, {len(os.sched_getaffinity(0))} CPUs"
 
 
 def test_criterion_01_gradient_fidelity():
@@ -313,7 +321,7 @@ def test_criterion_08_guided_beats_baseline(tmp_path):
         f"cost {baseline.ergonomic_cost:.3f} -> {guided.ergonomic_cost:.3f} m, "
         f"parsability {baseline.parsability:.3f} -> {guided.parsability:.3f}, "
         f"coverage delta {coverage_delta:+.3f} (not gated), "
-        f"{elapsed / 60:.1f} min"
+        f"{elapsed / 60:.1f} min, {host()}"
     )
     record(8, "guided beats baseline", cost_ok and parsability_ok and elapsed < 1800, detail)
 
@@ -339,7 +347,7 @@ def test_criterion_09_determinism(tmp_path):
         outs = net.generate_batch(prefixes)
         reports.append(metrics.evaluate([list(t) for t, _ in outs], metrics.EvalConfig()))
     ok = checksums[0] == checksums[1] and reports[0] == reports[1]
-    record(9, "determinism", ok, f"checksum {checksums[0][:12]}")
+    record(9, "determinism", ok, f"checksum {checksums[0][:12]}, {host()}")
 
 
 def test_criterion_10_metrics_sanity():

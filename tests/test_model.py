@@ -1,3 +1,7 @@
+import functools
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 
 from conftest import make_plan, rect
 
-from ergoplan import dataset, ergoloss, guidance, model, tokenizer
+from ergoplan import dataset, ergoloss, guidance, metrics, model, tokenizer
 from ergoplan.dataset import SynthConfig, synth_plan
 from ergoplan.errors import ContextOverflow, EmptyInput, OutOfRange
 from ergoplan.model import Model, ModelConfig, TrainConfig
@@ -321,6 +325,161 @@ class TestWorkspace:
             tracemalloc.stop()
         # about 52 MiB when every step allocated its cache and gradients
         assert peak - before <= 4 * 2**20
+
+
+RECIPE = ModelConfig(layers=4, heads=4, embed_dim=64, context_len=128, vocab_size=V.size, seed=1)
+
+
+@pytest.fixture(scope="module")
+def recipe_batches():
+    """Three batches of 16 ragged samples at the benchmark's recipe shape."""
+    corpus = dataset.synth_generate(60, seed=21, cfg=SynthConfig(de_ergonomize_fraction=0.5))
+    samples = samples_from(corpus)
+    rng = np.random.default_rng(7)
+    return [[samples[int(i)] for i in rng.integers(0, len(samples), 16)] for _ in range(3)]
+
+
+def stepped(mcfg, tcfg, batches):
+    state = model.init_train_state(mcfg, tcfg)
+    losses = [model.train_step(batch, state, mcfg, tcfg)[1] for batch in batches]
+    return state, losses
+
+
+def _child_forward(params, cfg, tokens, xy, vert):
+    return model.forward_logits(params, cfg, tokens, xy, vert).copy()
+
+
+class TestRowHalves:
+    """Training batches run as two row halves on two threads; every result
+    must equal the one-thread reference kernels bit for bit."""
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_recipe_steps_equal_oracle(self, monkeypatch, recipe_batches, guided):
+        tcfg = TrainConfig(batch_size=16, guided=guided, lr=1e-3, seed=1)
+        monkeypatch.setattr(model, "_cpus", lambda: 2)  # the worker runs on any host
+        state, losses = stepped(RECIPE, tcfg, recipe_batches)
+        assert len({len(seq) for seq, _ in recipe_batches[0]}) > 1  # ragged
+        assert not guided or any(loss.alpha > 0 for loss in losses)
+
+        monkeypatch.setattr(model, "forward_logits", oracles.forward_logits)
+        monkeypatch.setattr(model, "backward_logits", oracles.backward_logits)
+        monkeypatch.setattr(model, "_softmax", oracles._softmax)
+        ref = model.init_train_state(RECIPE, tcfg)
+        ref_losses = [oracles.train_step(batch, ref, RECIPE, tcfg)[1] for batch in recipe_batches]
+        monkeypatch.undo()
+        assert losses == ref_losses
+        assert_states_equal(state, ref)
+
+        monkeypatch.setattr(model, "_cpus", lambda: 1)  # no worker: one thread
+        serial, serial_losses = stepped(RECIPE, tcfg, recipe_batches)
+        assert serial_losses == losses
+        assert_states_equal(serial, state)
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 9])
+    def test_small_batches_equal_reference(self, monkeypatch, b, t):
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
+        tokens, xy, vert = padded([synth_plan(s, SYNTH_SMALL) for s in range(b)])
+        params = noisy_params(SMALL, seed=b)
+        assert_matches_reference(params, SMALL, tokens[:, :t], xy[:, :t], vert[:, :t], seed=t)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, recipe_batches):
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
+        tcfg = TrainConfig(batch_size=16, guided=False, lr=1e-3, seed=1)
+        expected, _ = stepped(RECIPE, tcfg, recipe_batches[:1])
+        gelu_grad = model._gelu_grad
+
+        def failing_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("row half failed")
+            return gelu_grad(*args)
+
+        state = model.init_train_state(RECIPE, tcfg)
+        monkeypatch.setattr(model, "_gelu_grad", failing_off_main)
+        with pytest.raises(RuntimeError, match="row half failed"):
+            model.train_step(recipe_batches[0], state, RECIPE, tcfg)
+        monkeypatch.setattr(model, "_gelu_grad", gelu_grad)
+        assert state.step == 0
+        model.train_step(recipe_batches[0], state, RECIPE, tcfg)
+        assert_states_equal(state, expected)
+
+    def test_process_pools_after_a_threaded_step(self, monkeypatch, recipe_batches):
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
+        tcfg = TrainConfig(batch_size=16, guided=False, lr=1e-3, seed=1)
+        state, _ = stepped(RECIPE, tcfg, recipe_batches[:1])
+        seqs = [list(seq.tokens) for batch in recipe_batches for seq, _ in batch]
+        seqs[3] = seqs[3][:-2]  # one sequence that does not parse
+        cfg = metrics.EvalConfig()
+        assert metrics.evaluate(seqs, cfg, threads=2) == metrics.evaluate(seqs, cfg)
+        # a forked child starts its own worker instead of waiting on the
+        # parent's, which does not exist in the child
+        tokens, xy, vert = padded([p for _, p in recipe_batches[0][:4]], RECIPE)
+        args = (state.params, RECIPE, tokens, xy, vert)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply_async(_child_forward, args).get(timeout=120)
+        assert np.array_equal(child, model.forward_logits(*args))
+        model.train_step(recipe_batches[1], state, RECIPE, tcfg)
+        assert state.step == 2
+
+    def test_every_job_runs_once_under_contention(self, monkeypatch):
+        # more calling threads than cores share the one worker, switching
+        # as often as the interpreter allows
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
+        failures = []
+
+        def caller(k):
+            for n in range(200):
+                ran = []
+                model._run(*(functools.partial(ran.append, j) for j in range(6)))
+                if sorted(ran) != list(range(6)):
+                    failures.append((k, n, ran))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_embedding_sums_equal_add_at(self):
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((40, 6)).astype(np.float32)
+        ids = rng.integers(0, 3, 40)
+        ids[::7] = 3  # id 3 sums -0.0 rows only; id 4 never occurs
+        rows[::7] = -0.0
+        rows[1::7, 2] = -0.0  # a -0.0 among nonzero rows of other ids
+        rows[[5, 9], 1] = 3e38  # overflow and cancellation keep their order
+        rows[11, 1] = -3e38
+        ids[[5, 9, 11]] = 1
+        table = np.zeros((5, 6), np.float32)
+        expected = table.copy()
+        with np.errstate(over="ignore"):
+            np.add.at(expected, ids, rows)
+            model._add_rows(table, ids, rows)
+        assert table.tobytes() == expected.tobytes()
+        assert not np.signbit(table[3:]).any() and np.isinf(table[1, 1])
+
+    def test_decode_prefill_writes_the_cached_keys_and_values(self):
+        params = noisy_params(SMALL, seed=5)
+        tokens, xy, vert = padded([synth_plan(s, SYNTH_SMALL) for s in (0, 4, 9)])
+        width = 20
+        shape = (3, SMALL.heads, 32, SMALL.embed_dim // SMALL.heads)
+        keys = [np.zeros(shape, np.float32) for _ in range(SMALL.layers)]
+        values = [np.zeros(shape, np.float32) for _ in range(SMALL.layers)]
+        args = (params, SMALL, tokens[:, :width], xy[:, :width], vert[:, :width])
+        logits = model.forward_logits(*args, kv=(keys, values)).copy()
+        full, cache = model.forward_logits(*args, need_cache=True)
+        assert np.array_equal(logits, full)
+        for k, v, layer in zip(keys, values, cache["layers"]):
+            assert np.array_equal(k[:, :, :width], layer["k"])
+            assert np.array_equal(v[:, :, :width], layer["v"])
+            assert not k[:, :, width:].any() and not v[:, :, width:].any()
 
 
 class TestTraining:
