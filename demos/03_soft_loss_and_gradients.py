@@ -20,14 +20,14 @@ a = [[0, 0], [1, 0], [1, 1], [0, 1]]
 b = [[5, 0], [6, 0], [6, 1], [5, 1]]
 print("soft distance between squares 4 cells apart (true vertex min = 4):")
 for beta in (1.0, 5.0, 10.0, 50.0):
-    d = soft_distance(a, b, SoftParams(beta=beta, coordinate_space="cells"))
+    d = soft_distance(a, b, SoftParams(beta=beta, meters_per_cell=1.0))
     print(f"  beta {beta:5.1f} -> {d:.6f}")
 
 # A de-ergonomized plan: the kitchen sits far from the entrance.
 plan = synth_plan(12, SynthConfig(de_ergonomize_fraction=1.0))
-params = SoftParams(coordinate_space="cells")
+params = SoftParams(meters_per_cell=1.0)
 vplan = VertexPlan.from_plan(plan)
-kitchen = vplan.indices(RoomType.Kitchen)[0]
+kitchen = vplan.kinds.index(RoomType.Kitchen)
 print(f"\ninitial loss {ergonomic_loss(vplan, params).total:.3f} cells")
 
 # Plain gradient descent on the kitchen's vertices only. The other rooms
@@ -48,8 +48,8 @@ coords_minus = [c.copy() for c in vplan2.room_coords]
 coords_plus[kitchen][0, 0] += h
 coords_minus[kitchen][0, 0] -= h
 fd = (
-    ergonomic_loss(VertexPlan(vplan2.kinds, coords_plus, vplan2.door, 256), params).total
-    - ergonomic_loss(VertexPlan(vplan2.kinds, coords_minus, vplan2.door, 256), params).total
+    ergonomic_loss(VertexPlan(vplan2.kinds, coords_plus, vplan2.door), params).total
+    - ergonomic_loss(VertexPlan(vplan2.kinds, coords_minus, vplan2.door), params).total
 ) / (2 * h)
 print(f"\nanalytic d loss/dx of kitchen vertex 0: {grads[kitchen][0, 0]:+.8f}")
 print(f"central finite difference:              {fd:+.8f}")

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-One executable, subcommand style. Exit codes: 0 success, 1 usage error,
-2 data error. Machine-readable output goes to stdout (JSON with
---format json), diagnostics to stderr. ERGOPLAN_SEED provides the default
-seed; a key=value config file can pre-set train options, with explicit
-flags winning.
+One executable, subcommand style. Exit codes: 0 success, 1 usage error
+(an option value its config rejects counts as one), 2 data error.
+Machine-readable output goes to stdout (JSON with --format json),
+diagnostics to stderr. ERGOPLAN_SEED provides the default seed; a
+key=value config file can pre-set train options, with explicit flags
+winning.
 """
 
 import argparse
@@ -111,14 +112,13 @@ def build_parser():
 
     p = sub.add_parser("ergo-loss", help="differentiable ergonomic loss breakdown")
     p.add_argument("plan")
-    p.add_argument("--beta", type=float, default=10.0)
-    p.add_argument("--space", choices=("cells", "normalized", "meters"), default="meters")
-    p.add_argument("--meters-per-cell", type=float, default=None)
+    p.add_argument("--beta", type=float, default=ergoloss.SoftParams.beta)
+    p.add_argument("--meters-per-cell", type=float, default=None, help="loss unit; 1 gives cells")
 
     p = sub.add_parser("guidance-check", help="per-position substitution eligibility dump")
     p.add_argument("plan")
     p.add_argument("--checkpoint", help="model checkpoint for real probability rows")
-    p.add_argument("--gamma", type=float, default=30.0)
+    p.add_argument("--gamma", type=float, default=guidance.GuidanceConfig.gamma)
 
     p = sub.add_parser("train", help="train a model on a plan corpus")
     p.add_argument("--corpus", required=True)
@@ -165,7 +165,7 @@ def build_parser():
 
 
 def _scale(meters_per_cell):
-    return ScaleConfig(meters_per_cell) if meters_per_cell else ScaleConfig()
+    return ScaleConfig() if meters_per_cell is None else ScaleConfig(meters_per_cell)
 
 
 def _cmd_synth(args):
@@ -265,9 +265,7 @@ def _cmd_ergo_cost(args):
 def _cmd_ergo_loss(args):
     plan = _load_plan(args.plan)
     params = ergoloss.SoftParams(
-        beta=args.beta,
-        coordinate_space=args.space,
-        meters_per_cell=args.meters_per_cell or ScaleConfig().meters_per_cell,
+        beta=args.beta, meters_per_cell=_scale(args.meters_per_cell).meters_per_cell
     )
     print(ergoloss.ergonomic_loss(plan, params).to_json())
     return EXIT_OK
@@ -324,12 +322,10 @@ def _corpus_plans(corpus_dir, split=None, default="test"):
     return corpus.subset(split)
 
 
-def _train_samples(corpus_dir):
-    samples = []
-    for plan in _corpus_plans(corpus_dir, default="train"):
-        vocab = tokenizer.Vocabulary(plan.resolution)
-        samples.append((tokenizer.encode(plan, vocab), plan))
-    return samples
+def _train_samples(plans, context_len):
+    """(TokenSequence, plan) per plan; a plan longer than the model's
+    context fails here, before the first step."""
+    return [(tokenizer.encode(plan, max_len=context_len), plan) for plan in plans]
 
 
 def _on_off(value):
@@ -352,30 +348,35 @@ def _cmd_train(args):
                 raise ErgoplanError(f"config key {key}: bad value {raw!r}") from None
         return value if flag is None else flag
 
-    samples = _train_samples(args.corpus)
-    if not samples:
+    plans = _corpus_plans(args.corpus, default="train")
+    if not plans:
         raise ErgoplanError(f"no training plans under {args.corpus}")
-    resolution = samples[0][1].resolution
+    resolution = plans[0].resolution
+    # an option neither flagged nor in the file takes its config field's default
+    model_defaults, train_defaults = model.ModelConfig, model.TrainConfig
     model_cfg = model.ModelConfig(
-        layers=opt(args.layers, "layers", int, 4),
-        heads=opt(args.heads, "heads", int, 4),
-        embed_dim=opt(args.embed_dim, "embed_dim", int, 64),
-        context_len=opt(args.context, "context", int, 320),
+        layers=opt(args.layers, "layers", int, model_defaults.layers),
+        heads=opt(args.heads, "heads", int, model_defaults.heads),
+        embed_dim=opt(args.embed_dim, "embed_dim", int, model_defaults.embed_dim),
+        context_len=opt(args.context, "context", int, model_defaults.context_len),
         vocab_size=tokenizer.Vocabulary(resolution).size,
         seed=args.seed,
     )
+    guided_default = "on" if train_defaults.guided else "off"
     train_cfg = model.TrainConfig(
-        steps=opt(args.steps, "steps", int, 1000),
-        batch_size=opt(args.batch_size, "batch_size", int, 16),
-        lr=opt(args.lr, "lr", float, 3e-4),
-        guided=opt(args.guided, "guided", _on_off, "on") == "on",
+        steps=opt(args.steps, "steps", int, train_defaults.steps),
+        batch_size=opt(args.batch_size, "batch_size", int, train_defaults.batch_size),
+        lr=opt(args.lr, "lr", float, train_defaults.lr),
+        guided=opt(args.guided, "guided", _on_off, guided_default) == "on",
         seed=args.seed,
     )
     guidance_cfg = guidance.GuidanceConfig(
-        resolution=resolution, gamma=opt(args.gamma, "gamma", float, 30.0)
+        resolution=resolution,
+        gamma=opt(args.gamma, "gamma", float, guidance.GuidanceConfig.gamma),
     )
     if file_cfg:
         raise ErgoplanError(f"unknown config keys in {args.config}: {', '.join(sorted(file_cfg))}")
+    samples = _train_samples(plans, model_cfg.context_len)
     echo = {
         "model": vars(model_cfg),
         "guided": train_cfg.guided,
@@ -517,6 +518,10 @@ def main(argv=None):
     except (ErgoplanError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:
+        # a value the config dataclasses reject, e.g. a non-positive beta
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -210,12 +210,12 @@ class SynthConfig:
 
 
 # every filler is a preferred balcony neighbor, so balconies placed next to
-# fillers carry no charge in the ergonomic corpus
-_FILLER_TYPES = (
-    RoomType.LivingRoom,
-    RoomType.MasterRoom,
-    RoomType.SecondRoom,
-    RoomType.StudyRoom,
+# fillers carry no charge in the ergonomic corpus; kitchens and dining rooms
+# are placed by their own rules
+_FILLER_TYPES = tuple(
+    kind
+    for kind in ergocost.BALCONY_NEIGHBORS
+    if kind not in (RoomType.Kitchen, RoomType.DiningRoom)
 )
 
 

@@ -39,7 +39,8 @@ CLIENT, TARGET = "client", "target"  # the charged side of a rule
 # charged side). A CLIENT-charged rule charges each client its distance to
 # the nearest target; a TARGET-charged rule assigns each client to its
 # nearest target and charges each assigned target the mean distance to its
-# clients. The soft loss in ergoloss relaxes the same table.
+# clients. rule_rooms reads this table for the hard cost here and for the
+# soft loss in ergoloss alike.
 RULES = (
     ("entrances", (RoomType.Entrance,), DOOR, CLIENT),
     ("kitchens", KITCHEN_CLIENTS, (RoomType.Kitchen,), TARGET),
@@ -103,30 +104,32 @@ def _plan_distance(plan, scale):
     return _distance_memo(plan.rooms + (plan.door,), scale or ScaleConfig())
 
 
-def _indices(plan, kinds):
-    if kinds == DOOR:
-        return [len(plan.rooms)]
-    return [i for i, room in enumerate(plan.rooms) if room.kind in kinds]
+def rule_rooms(kinds):
+    """(term, client indices, target indices, charged side) of each rule
+    over a plan's room kinds, in RULES order. Rooms are listed in plan
+    order; the door is index len(kinds). The hard cost and the soft loss
+    both take their rule pairs from here."""
+
+    def members(wanted):
+        return [i for i, kind in enumerate(kinds) if kind in wanted]
+
+    return [
+        (term, members(clients), [len(kinds)] if targets == DOOR else members(targets), charged)
+        for term, clients, targets, charged in RULES
+    ]
 
 
-def _nearest(plan, clients, targets, distance):
-    targets = _indices(plan, targets)
-    if not targets:
-        return {}
-    return {
-        c: min(targets, key=lambda t: (distance(c, t), t)) for c in _indices(plan, clients)
-    }
-
-
-def _charges(plan, rule, distance):
+def _charges(clients, targets, charged, distance):
     """[(charged room index, meters)] of one rule, in plan order; targets
-    that no client is assigned to carry no charge and are omitted."""
-    _, clients, targets, charged = rule
-    nearest = _nearest(plan, clients, targets, distance)
+    that no client is assigned to carry no charge and are omitted. Targets
+    ascend, so `min` breaks distance ties toward the lowest index."""
+    if not targets:
+        return []
+    nearest = [(c, min(targets, key=lambda t: distance(c, t))) for c in clients]
     if charged == CLIENT:
-        return [(c, distance(c, t)) for c, t in nearest.items()]
+        return [(c, distance(c, t)) for c, t in nearest]
     per_target = {}
-    for c, t in nearest.items():
+    for c, t in nearest:
         per_target.setdefault(t, []).append(distance(c, t))
     return [(t, sum(dists) / len(dists)) for t, dists in sorted(per_target.items())]
 
@@ -134,7 +137,10 @@ def _charges(plan, rule, distance):
 def ergonomic_cost(plan, scale=None):
     """Full ErgoReport: the mean per-room charge over all four terms."""
     distance = _plan_distance(plan, scale)
-    per_term = {rule[0]: _charges(plan, rule, distance) for rule in RULES}
+    per_term = {
+        term: _charges(clients, targets, charged, distance)
+        for term, clients, targets, charged in rule_rooms([room.kind for room in plan.rooms])
+    }
     entries = [
         (i, plan.rooms[i].kind, cost) for charges in per_term.values() for i, cost in charges
     ]

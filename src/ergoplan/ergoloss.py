@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput
-from .ergocost import DOOR, RULES, TERMS
+from .ergocost import TERMS, rule_rooms
 from .plan import DEFAULT_METERS_PER_CELL, RoomType
 
 _TINY = np.finfo(float).tiny
@@ -27,55 +27,37 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class SoftParams:
-    """Softmin temperature and the unit space the loss is reported in."""
+    """Softmin temperature and the loss unit: the loss is reported in
+    meters_per_cell times cell units (1.0 gives cells)."""
 
     beta: float = 10.0
-    coordinate_space: str = "meters"  # "cells" | "normalized" | "meters"
     meters_per_cell: float = DEFAULT_METERS_PER_CELL
 
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.coordinate_space not in ("cells", "normalized", "meters"):
-            raise ValueError(f"unknown coordinate space {self.coordinate_space!r}")
-
-    def unit_factor(self, resolution):
-        """Multiplier taking cell coordinates into the loss unit space."""
-        if self.coordinate_space == "cells":
-            return 1.0
-        if self.coordinate_space == "normalized":
-            return 1.0 / resolution
-        return self.meters_per_cell
+        if not self.meters_per_cell > 0:
+            raise ValueError("meters_per_cell must be positive")
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-term soft losses (None when a term does not apply) and their mean."""
+    """Per-term soft losses in TERMS order (None when a term does not
+    apply) and their mean."""
 
-    entrances: float | None
-    kitchens: float | None
-    bathrooms: float | None
-    balconies: float | None
+    terms: dict  # term name -> float | None
     total: float | None
-    space: str = "meters"
 
     @property
     def applicable_terms(self):
-        return {term: getattr(self, term) is not None for term in TERMS}
+        return {term: value is not None for term, value in self.terms.items()}
 
     @property
     def applicable(self):
         return self.total is not None
 
     def to_dict(self):
-        return {
-            "entrances": self.entrances,
-            "kitchens": self.kitchens,
-            "bathrooms": self.bathrooms,
-            "balconies": self.balconies,
-            "total": self.total,
-            "space": self.space,
-        }
+        return {**self.terms, "total": self.total}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -85,11 +67,10 @@ class VertexPlan:
     """Float-coordinate view of a plan: room kinds, per-room (n, 2) vertex
     arrays, and the door as a 2-point array, all in cell units."""
 
-    def __init__(self, kinds, room_coords, door, resolution):
+    def __init__(self, kinds, room_coords, door):
         self.kinds = tuple(RoomType(k) for k in kinds)
         self.room_coords = [np.asarray(c, dtype=float).reshape(-1, 2) for c in room_coords]
         self.door = np.asarray(door, dtype=float).reshape(2, 2)
-        self.resolution = int(resolution)
 
     @classmethod
     def from_plan(cls, plan):
@@ -97,12 +78,7 @@ class VertexPlan:
             kinds=[room.kind for room in plan.rooms],
             room_coords=[np.array(room.vertices, dtype=float) for room in plan.rooms],
             door=np.array([plan.door.a, plan.door.b], dtype=float),
-            resolution=plan.resolution,
         )
-
-    def indices(self, kinds):
-        wanted = set(kinds) if isinstance(kinds, (tuple, list, set)) else {kinds}
-        return [i for i, k in enumerate(self.kinds) if k in wanted]
 
 
 def _as_vertex_plan(plan_like):
@@ -144,7 +120,7 @@ def _pair_soft_distance(p, q, beta):
     return d, dp, dq
 
 
-def soft_distance(a, b, params=None, resolution=None):
+def soft_distance(a, b, params=None):
     """Softmin-weighted average of all pairwise vertex distances between two
     vertex sets (polygons, door segments, or bare (n, 2) arrays)."""
     params = params or SoftParams()
@@ -159,12 +135,8 @@ def soft_distance(a, b, params=None, resolution=None):
     ca, cb = coords(a), coords(b)
     if ca.size == 0 or cb.size == 0:
         raise EmptyInput("soft_distance needs non-empty vertex sets")
-    factor = params.unit_factor(resolution) if resolution else params.unit_factor(1)
-    if params.coordinate_space == "normalized" and resolution is None:
-        raise ValueError("normalized space needs the grid resolution")
-    d, _, _ = _pair_soft_distance(
-        ca[None] * factor, cb[None] * factor, params.beta
-    )
+    factor = params.meters_per_cell
+    d, _, _ = _pair_soft_distance(ca[None] * factor, cb[None] * factor, params.beta)
     return float(d[0])
 
 
@@ -181,16 +153,14 @@ class PairTable:
     def __init__(self, plan, params=None):
         self.params = params or SoftParams()
         vplan = _as_vertex_plan(plan)
-        self.factor = self.params.unit_factor(vplan.resolution)
+        self.factor = self.params.meters_per_cell
         rooms = len(vplan.room_coords)
         # rooms, then the door, in the loss unit space
         self.coords = [c * self.factor for c in vplan.room_coords] + [vplan.door * self.factor]
         # (term, clients, (clients, targets) pair indices) per applicable rule
         self.rules = []
         self.pairs = []
-        for term, client_kinds, target_kinds, _charged in RULES:
-            clients = vplan.indices(client_kinds)
-            targets = [rooms] if target_kinds == DOOR else vplan.indices(target_kinds)
+        for term, clients, targets, _charged in rule_rooms(vplan.kinds):
             if not clients or not targets:
                 continue
             cols = len(self.pairs) + np.arange(len(clients) * len(targets))
@@ -250,7 +220,7 @@ def ergonomic_loss(plan, params=None):
     """LossBreakdown over the four terms; total is the mean of the applicable
     ones (None when none applies)."""
     table = _as_table(plan, params)
-    return LossBreakdown(**table.values, total=table.total, space=table.params.coordinate_space)
+    return LossBreakdown(dict(table.values), table.total)
 
 
 def ergonomic_loss_grad(plan, params=None):

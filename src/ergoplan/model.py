@@ -36,7 +36,7 @@ class ModelConfig:
     layers: int = 4
     heads: int = 4
     embed_dim: int = 64
-    context_len: int = 320
+    context_len: int = tokenizer.DEFAULT_CONTEXT
     vocab_size: int = tokenizer.Vocabulary().size
     max_vertex_index: int = 32
     seed: int = 0
@@ -1078,19 +1078,7 @@ def save_checkpoint(path, state, model_cfg, train_cfg=None):
     meta = {
         "version": CHECKPOINT_VERSION,
         "step": state.step,
-        "model_config": {
-            k: getattr(model_cfg, k)
-            for k in (
-                "layers",
-                "heads",
-                "embed_dim",
-                "context_len",
-                "vocab_size",
-                "max_vertex_index",
-                "seed",
-                "dtype",
-            )
-        },
+        "model_config": vars(model_cfg),
         "train_config": None if train_cfg is None else vars(train_cfg),
         "rng_state": state.rng.bit_generator.state,
         "checksum": parameter_checksum(state.params),

@@ -192,7 +192,7 @@ def loss_finite_difference(vplan, params=None, h=1e-4):
     params = params or SoftParams()
 
     def loss_of(coords):
-        probe = VertexPlan(vplan.kinds, coords, vplan.door, vplan.resolution)
+        probe = VertexPlan(vplan.kinds, coords, vplan.door)
         return ergonomic_loss(probe, params).total
 
     grads = []
@@ -212,6 +212,12 @@ def loss_finite_difference(vplan, params=None, h=1e-4):
 # --- earlier soft-loss term evaluation: the bit-identity reference ------
 
 
+def _members(vplan, kinds):
+    """Indices of the plan's rooms of the given kind or kinds, in plan order."""
+    wanted = set(kinds) if isinstance(kinds, tuple) else {kinds}
+    return [i for i, kind in enumerate(vplan.kinds) if kind in wanted]
+
+
 def _term_values_and_grads(vplan, room_coords, door, beta):
     """Evaluate all four soft loss terms on variant coordinate arrays.
 
@@ -224,7 +230,7 @@ def _term_values_and_grads(vplan, room_coords, door, beta):
     def pair(i, j):
         return _pair_soft_distance(room_coords[i], room_coords[j], beta)
 
-    entrances = vplan.indices(RoomType.Entrance)
+    entrances = _members(vplan, RoomType.Entrance)
     if entrances:
         acc = {}
         vals = []
@@ -238,8 +244,8 @@ def _term_values_and_grads(vplan, room_coords, door, beta):
         values["entrances"] = None
 
     def assigned_term(name, client_kinds, target_kind):
-        clients = vplan.indices(client_kinds)
-        targets = vplan.indices(target_kind)
+        clients = _members(vplan, client_kinds)
+        targets = _members(vplan, target_kind)
         if not clients or not targets:
             values[name] = None
             return
@@ -267,8 +273,8 @@ def _term_values_and_grads(vplan, room_coords, door, beta):
     assigned_term("kitchens", KITCHEN_CLIENTS, RoomType.Kitchen)
     assigned_term("bathrooms", BATHROOM_CLIENTS, RoomType.Bathroom)
 
-    balconies = vplan.indices(RoomType.Balcony)
-    neighbors = vplan.indices(BALCONY_NEIGHBORS)
+    balconies = _members(vplan, RoomType.Balcony)
+    neighbors = _members(vplan, BALCONY_NEIGHBORS)
     if balconies and neighbors:
         acc = {}
         balcony_vals = []
@@ -317,8 +323,8 @@ def _rule_term_values_and_grads(vplan, room_coords, door, beta):
     values = {}
     grads = {}
     for term, client_kinds, target_kinds, _charged in RULES:
-        clients = vplan.indices(client_kinds)
-        targets = [door_index] if target_kinds == DOOR else vplan.indices(target_kinds)
+        clients = _members(vplan, client_kinds)
+        targets = [door_index] if target_kinds == DOOR else _members(vplan, target_kinds)
         if not clients or not targets:
             values[term] = None
             continue
@@ -347,7 +353,7 @@ def evaluate(vplan, params, variants=None, terms=_rule_term_values_and_grads):
     single-coordinate substitutions, one per variant row. `terms` is the
     term evaluation: the rule-table loop or the per-term blocks above.
     """
-    factor = params.unit_factor(vplan.resolution)
+    factor = params.meters_per_cell
     n_variants = 1 if variants is None else len(variants)
     room_coords = []
     for coords in vplan.room_coords:

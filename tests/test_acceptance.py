@@ -75,7 +75,7 @@ def test_criterion_01_gradient_fidelity():
 def test_criterion_02_softmin_limit():
     """|soft distance - min| < 1e-6 whenever beta * gap > 40 (beta = 10)."""
     rng = np.random.default_rng(7)
-    params = SoftParams(beta=10.0, coordinate_space="cells")
+    params = SoftParams(beta=10.0, meters_per_cell=1.0)
     worst = 0.0
     for _ in range(200):
         base = float(rng.random() * 40)

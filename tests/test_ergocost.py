@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import SPREAD_PLAN_COST_CELLS, histogram_polygon, make_plan, rect
 from oracles import naive_ergonomic_cost
 
-from ergoplan import ergocost
+from ergoplan import ergocost, ergoloss
 from ergoplan.dataset import mirror_plan, rotate_plan, synth_plan, SynthConfig
 from ergoplan.geometry import min_distance
 from ergoplan.plan import DoorSegment, FloorPlan, RoomPolygon, RoomType, ScaleConfig
@@ -31,6 +31,28 @@ def test_each_charged_kind_belongs_to_one_rule():
         (RoomType.Kitchen,),
         (RoomType.Bathroom,),
         (RoomType.Balcony,),
+    ]
+
+
+def test_rule_rooms_lists_members_in_plan_order_and_the_door_last():
+    kinds = [
+        RoomType.Kitchen,
+        RoomType.Entrance,
+        RoomType.Storage,
+        RoomType.Entrance,
+        RoomType.LivingRoom,
+    ]
+    assert ergocost.rule_rooms(kinds) == [
+        ("entrances", [1, 3], [5], ergocost.CLIENT),
+        ("kitchens", [1, 3], [0], ergocost.TARGET),
+        ("bathrooms", [1, 3, 4], [], ergocost.TARGET),
+        ("balconies", [], [0, 4], ergocost.CLIENT),
+    ]
+    assert ergocost.rule_rooms([]) == [
+        ("entrances", [], [0], ergocost.CLIENT),
+        ("kitchens", [], [], ergocost.TARGET),
+        ("bathrooms", [], [], ergocost.TARGET),
+        ("balconies", [], [], ergocost.CLIENT),
     ]
 
 
@@ -359,3 +381,29 @@ def test_synthesis_same_as_with_raw_shape_distances():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ergocost, "_distance_memo", oracles._distance_memo)
         assert [synth_plan(seed, cfg) for seed in range(60)] == plans
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_cost_and_loss_apply_and_charge_the_same_rule_rooms(seed, skylines):
+    """The hard cost and the soft loss agree on which terms apply, and every
+    room the cost charges is on the charged side of the loss's rule."""
+    plan = random_plan(seed, skylines)
+    report = ergocost.ergonomic_cost(plan)
+    table = ergoloss.PairTable(plan)
+    assert report.applicable_terms == ergoloss.ergonomic_loss(table).applicable_terms
+    loss_sides = {
+        term: {
+            ergocost.CLIENT: set(clients),
+            ergocost.TARGET: {table.pairs[k][1] for k in cols.ravel()},
+        }
+        for term, clients, cols in table.rules
+    }
+    charging_rule = {
+        kind: (term, side)
+        for term, clients, targets, side in ergocost.RULES
+        for kind in (clients if side == ergocost.CLIENT else targets)
+    }
+    for index, kind, _ in report.entries:
+        term, side = charging_rule[kind]
+        assert index in loss_sides[term][side]

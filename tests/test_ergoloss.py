@@ -16,7 +16,7 @@ from ergoplan.errors import EmptyInput
 from ergoplan.ergoloss import SoftParams, VertexPlan
 from ergoplan.plan import RoomType
 
-CELLS = SoftParams(coordinate_space="cells")
+CELLS = SoftParams(meters_per_cell=1.0)
 
 
 def manual_soft_distance(p, q, beta=10.0):
@@ -85,8 +85,8 @@ class TestSoftDistance:
             p = rng.random((int(rng.integers(1, 6)), 2)) * 20
             q = rng.random((int(rng.integers(1, 6)), 2)) * 20
             e = np.linalg.norm(p[:, None] - q[None], axis=-1)
-            lo = ergoloss.soft_distance(p, q, SoftParams(beta=25.0, coordinate_space="cells"))
-            hi = ergoloss.soft_distance(p, q, SoftParams(beta=5.0, coordinate_space="cells"))
+            lo = ergoloss.soft_distance(p, q, SoftParams(beta=25.0, meters_per_cell=1.0))
+            hi = ergoloss.soft_distance(p, q, SoftParams(beta=5.0, meters_per_cell=1.0))
             assert e.min() - 1e-12 <= lo <= hi <= e.max() + 1e-12
 
     def test_large_beta_approaches_minimum(self, rng):
@@ -98,7 +98,7 @@ class TestSoftDistance:
             values[0] = base
             p = np.zeros((1, 2))
             q = np.stack([values, np.zeros_like(values)], axis=1)
-            d = ergoloss.soft_distance(p, q, SoftParams(beta=beta, coordinate_space="cells"))
+            d = ergoloss.soft_distance(p, q, SoftParams(beta=beta, meters_per_cell=1.0))
             assert abs(d - base) < 1e-6
 
     def test_polygon_and_door_operands(self, tiling_plan):
@@ -112,7 +112,7 @@ class TestSoftDistance:
 
 class TestTerms:
     def test_single_entrance_equals_soft_distance(self, spread_plan):
-        got = ergoloss.ergonomic_loss(spread_plan, CELLS).entrances
+        got = ergoloss.ergonomic_loss(spread_plan, CELLS).terms["entrances"]
         expected = ergoloss.soft_distance(spread_plan.rooms[0], spread_plan.door, CELLS)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -122,7 +122,7 @@ class TestTerms:
             ((0, 0), (0, 4)),
             [(RoomType.Entrance, rect(0, 0, 8, 8))],
         )
-        val = ergoloss.ergonomic_loss(plan, CELLS).entrances
+        val = ergoloss.ergonomic_loss(plan, CELLS).terms["entrances"]
         e = np.linalg.norm(
             np.array(plan.rooms[0].vertices, float)[:, None]
             - np.array([plan.door.a, plan.door.b], float)[None],
@@ -141,10 +141,11 @@ class TestTerms:
         )
         d0 = ergoloss.soft_distance(plan.rooms[0], plan.door, CELLS)
         d1 = ergoloss.soft_distance(plan.rooms[1], plan.door, CELLS)
-        assert ergoloss.ergonomic_loss(plan, CELLS).entrances == pytest.approx((d0 + d1) / 2)
+        got = ergoloss.ergonomic_loss(plan, CELLS).terms["entrances"]
+        assert got == pytest.approx((d0 + d1) / 2)
 
     def test_single_kitchen_reduces_to_mean_distance(self, spread_plan):
-        got = ergoloss.ergonomic_loss(spread_plan, CELLS).kitchens
+        got = ergoloss.ergonomic_loss(spread_plan, CELLS).terms["kitchens"]
         d_ent = ergoloss.soft_distance(spread_plan.rooms[0], spread_plan.rooms[1], CELLS)
         d_din = ergoloss.soft_distance(spread_plan.rooms[2], spread_plan.rooms[1], CELLS)
         assert got == pytest.approx((d_ent + d_din) / 2, abs=1e-12)
@@ -160,7 +161,8 @@ class TestTerms:
             ],
         )
         common = ergoloss.soft_distance(plan.rooms[0], plan.rooms[1], CELLS)
-        assert ergoloss.ergonomic_loss(plan, CELLS).kitchens == pytest.approx(common, abs=1e-12)
+        got = ergoloss.ergonomic_loss(plan, CELLS).terms["kitchens"]
+        assert got == pytest.approx(common, abs=1e-12)
 
     def test_generic_two_kitchen_case_matches_script(self):
         plan = make_plan(
@@ -186,12 +188,12 @@ class TestTerms:
             w = np.exp(-beta * (deltas - deltas.min()))
             w /= w.sum()
             expected.append(float((deltas * w).sum()))
-        assert ergoloss.ergonomic_loss(plan, CELLS).kitchens == pytest.approx(
+        assert ergoloss.ergonomic_loss(plan, CELLS).terms["kitchens"] == pytest.approx(
             np.mean(expected), abs=1e-12
         )
 
     def test_bathroom_mirrors_kitchen_structure(self, spread_plan):
-        got = ergoloss.ergonomic_loss(spread_plan, CELLS).bathrooms
+        got = ergoloss.ergonomic_loss(spread_plan, CELLS).terms["bathrooms"]
         d_ent = ergoloss.soft_distance(spread_plan.rooms[0], spread_plan.rooms[3], CELLS)
         d_liv = ergoloss.soft_distance(spread_plan.rooms[4], spread_plan.rooms[3], CELLS)
         assert got == pytest.approx((d_ent + d_liv) / 2, abs=1e-12)
@@ -206,7 +208,8 @@ class TestTerms:
             ],
         )
         expected = ergoloss.soft_distance(plan.rooms[1], plan.rooms[0], CELLS)
-        assert ergoloss.ergonomic_loss(plan, CELLS).balconies == pytest.approx(expected, abs=1e-12)
+        got = ergoloss.ergonomic_loss(plan, CELLS).terms["balconies"]
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_touching_balcony_near_zero_with_large_beta(self):
         plan = make_plan(
@@ -217,7 +220,8 @@ class TestTerms:
                 (RoomType.Balcony, rect(16, 0, 24, 8)),
             ],
         )
-        val = ergoloss.ergonomic_loss(plan, SoftParams(beta=100.0, coordinate_space="cells")).balconies
+        params = SoftParams(beta=100.0, meters_per_cell=1.0)
+        val = ergoloss.ergonomic_loss(plan, params).terms["balconies"]
         assert val == pytest.approx(0.0, abs=1e-6)
 
     def test_multi_neighbor_matches_script(self, spread_plan):
@@ -233,7 +237,7 @@ class TestTerms:
         w = np.exp(-beta * (dists - dists.min()))
         w /= w.sum()
         expected = float((dists * w).sum())
-        assert ergoloss.ergonomic_loss(spread_plan, CELLS).balconies == pytest.approx(
+        assert ergoloss.ergonomic_loss(spread_plan, CELLS).terms["balconies"] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -246,12 +250,12 @@ class TestBreakdown:
             [(RoomType.Entrance, rect(8, 0, 16, 8))],
         )
         b = ergoloss.ergonomic_loss(plan, CELLS)
-        assert b.kitchens is None and b.bathrooms is None and b.balconies is None
-        assert b.total == pytest.approx(b.entrances)
+        assert [b.terms[t] for t in ("kitchens", "bathrooms", "balconies")] == [None] * 3
+        assert b.total == pytest.approx(b.terms["entrances"])
 
     def test_all_terms_mean(self, spread_plan):
         b = ergoloss.ergonomic_loss(spread_plan, CELLS)
-        parts = [b.entrances, b.kitchens, b.bathrooms, b.balconies]
+        parts = [b.terms[t] for t in TERMS]
         assert all(p is not None for p in parts)
         assert b.total == pytest.approx(np.mean(parts), abs=1e-12)
         assert b.applicable_terms == {
@@ -268,13 +272,6 @@ class TestBreakdown:
         b = ergoloss.ergonomic_loss(plan, CELLS)
         assert b.total is None and not b.applicable
 
-    def test_meters_equals_cells_at_unit_scale(self, spread_plan):
-        cells = ergoloss.ergonomic_loss(spread_plan, CELLS)
-        meters = ergoloss.ergonomic_loss(
-            spread_plan, SoftParams(coordinate_space="meters", meters_per_cell=1.0)
-        )
-        assert meters.total == pytest.approx(cells.total, abs=1e-12)
-
     def test_translation_invariance(self, rng):
         plan = synth_plan(7, SynthConfig(de_ergonomize_fraction=1.0))
         vplan = VertexPlan.from_plan(plan)
@@ -282,7 +279,6 @@ class TestBreakdown:
             vplan.kinds,
             [c + np.array([3.0, 11.0]) for c in vplan.room_coords],
             vplan.door + np.array([3.0, 11.0]),
-            vplan.resolution,
         )
         a = ergoloss.ergonomic_loss(vplan, CELLS).total
         b = ergoloss.ergonomic_loss(shifted, CELLS).total
@@ -295,7 +291,6 @@ class TestGradient:
             kinds=[RoomType.Balcony, RoomType.LivingRoom],
             room_coords=[np.array([[0.0, 0.0]]), np.array([[5.0, 0.0]])],
             door=np.array([[100.0, 100.0], [100.0, 101.0]]),
-            resolution=256,
         )
         _, grads = ergoloss.ergonomic_loss_grad(vplan, CELLS)
         assert grads[0][0] == pytest.approx([-1.0, 0.0], abs=1e-12)
@@ -334,7 +329,7 @@ class TestGradient:
         plan = synth_plan(3, SynthConfig(de_ergonomize_fraction=1.0))
         vplan = VertexPlan.from_plan(plan)
         _, grads = ergoloss.ergonomic_loss_grad(vplan, CELLS)
-        res = vplan.resolution
+        res = plan.resolution
         rotated = VertexPlan(
             vplan.kinds,
             [
@@ -342,7 +337,6 @@ class TestGradient:
                 for c in vplan.room_coords
             ],
             np.stack([res - 1 - vplan.door[:, 1], vplan.door[:, 0]], axis=1),
-            res,
         )
         _, grads_rot = ergoloss.ergonomic_loss_grad(rotated, CELLS)
         for g, gr in zip(grads, grads_rot):
@@ -360,7 +354,6 @@ class TestGradient:
                 for i, c in enumerate(vplan.room_coords)
             ],
             vplan.door,
-            vplan.resolution,
         )
         assert base <= ergoloss.ergonomic_loss(moved, CELLS).total
 
@@ -382,7 +375,7 @@ class TestSubstitutedLosses:
         for (ri, vi, axis, val), loss, dval in zip(subs, losses, dvals):
             coords = [c.copy() for c in vplan.room_coords]
             coords[ri][vi, axis] = val
-            probe = VertexPlan(vplan.kinds, coords, vplan.door, vplan.resolution)
+            probe = VertexPlan(vplan.kinds, coords, vplan.door)
             assert ergoloss.ergonomic_loss(probe, CELLS).total == pytest.approx(
                 loss, abs=1e-12
             )
@@ -416,7 +409,7 @@ class TestReferenceTerms:
         values, total, grads = oracles.evaluate(vplan, params, variants, terms)
         if variants is None:
             breakdown, new_grads = ergoloss.ergonomic_loss_grad(vplan, params)
-            new = ([getattr(breakdown, t) for t in TERMS], breakdown.total, new_grads)
+            new = ([breakdown.terms[t] for t in TERMS], breakdown.total, new_grads)
             if total is None:
                 grads = [np.zeros((1,) + c.shape) for c in vplan.room_coords]
             old = (
@@ -548,7 +541,7 @@ class TestProperties:
     def test_soft_pair_distance_bounds_min_distance(self, plan, beta):
         # a softmin-weighted mean of vertex distances is never below the
         # boundary distance, crossing and nesting pairs included
-        table = ergoloss.PairTable(plan, SoftParams(beta=beta, coordinate_space="cells"))
+        table = ergoloss.PairTable(plan, SoftParams(beta=beta, meters_per_cell=1.0))
         shapes = list(plan.rooms) + [plan.door]
         for (ci, ti), soft in zip(table.pairs, table.base, strict=True):
             assert soft >= geometry.min_distance(shapes[ci], shapes[ti]) - 1e-12

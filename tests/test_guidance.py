@@ -15,7 +15,7 @@ from ergoplan.plan import RoomType
 
 V = tokenizer.Vocabulary(256)
 CFG = GuidanceConfig(resolution=256)
-CELLS = SoftParams(coordinate_space="cells")
+CELLS = SoftParams(meters_per_cell=1.0)
 
 
 def row_with(probs):

@@ -8,6 +8,7 @@ import pytest
 
 from ergoplan import dataset, model, render, tokenizer
 from ergoplan.cli import main
+from ergoplan.ergocost import TERMS
 from ergoplan.plan import RoomType, deserialize_plan, serialize_plan
 
 V = tokenizer.Vocabulary(256)
@@ -83,11 +84,42 @@ class TestCli:
         assert len(payload["rooms"]) == 4
 
     def test_ergo_loss_json(self, plan_file, capsys):
-        code = main(["ergo-loss", str(plan_file), "--space", "cells"])
+        code = main(["ergo-loss", str(plan_file), "--meters-per-cell", "1"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["space"] == "cells"
+        assert list(payload) == [*TERMS, "total"]
         assert payload["total"] > 0
+
+    @pytest.mark.parametrize("command", ["ergo-cost", "ergo-loss", "eval"])
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_non_positive_scale_is_rejected(self, command, scale, plan_file, corpus_dir, capsys):
+        target = ["--corpus", str(corpus_dir)] if command == "eval" else [str(plan_file)]
+        assert main([command, *target, "--meters-per-cell", scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: scale.meters_per_cell: must be positive"]
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["ergo-loss", "{plan}", "--beta", "-1"], "beta must be positive"),
+            (["guidance-check", "{plan}", "--gamma", "0"], "gamma must be positive"),
+            (
+                ["train", "--corpus", "{corpus}", "--out", "{out}", "--heads", "3", "--embed-dim", "8"],
+                "embed_dim must be divisible by heads",
+            ),
+        ],
+    )
+    def test_rejected_config_value_is_a_usage_error(
+        self, argv, named, plan_file, corpus_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "m.npz"
+        paths = {"plan": plan_file, "corpus": corpus_dir, "out": out}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {named}"]
+        assert not out.exists()
 
     def test_render_writes_svg(self, plan_file, tmp_path, capsys):
         out = tmp_path / "plan.svg"
@@ -237,6 +269,22 @@ class TestTrainGenerateCli:
             assert main([*argv, "--config", str(cfg_file), "--steps", "1", "--log-every", "0"]) == 2
             assert named in capsys.readouterr().err
         assert not (tmp_path / "m.npz").exists()
+
+    def test_plan_longer_than_the_context_fails_before_the_first_step(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        assert main(["--seed", "2", "synth", "--n", "4", "--out", str(corpus)]) == 0
+        ckpt = tmp_path / "m.npz"
+        argv = ["train", "--corpus", str(corpus), "--out", str(ckpt), "--guided", "off"]
+        flags = ["--steps", "20", "--batch-size", "1", "--layers", "1", "--heads", "1"]
+        lengths = [len(tokenizer.encode(plan)) for plan in dataset.load_corpus(corpus).plans]
+        assert min(lengths) <= 64 < max(lengths)  # some plans fit, some do not
+        capsys.readouterr()
+        code = main([*argv, *flags, "--embed-dim", "8", "--context", "64", "--log-every", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "step " not in captured.out
+        assert re.fullmatch(r"error: sequence length \d+ exceeds 64\n", captured.err)
+        assert not ckpt.exists()
 
     def test_non_integer_seed_variable_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ERGOPLAN_SEED", "abc")
