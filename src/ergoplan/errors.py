@@ -58,5 +58,10 @@ class NonFiniteLoss(ErgoplanError):
         self.diagnostics = diagnostics or {}
 
 
+class CheckpointError(ErgoplanError):
+    """A checkpoint file has an unsupported version or its parameters do
+    not match its recorded checksum."""
+
+
 class ProtocolMismatch(ErgoplanError):
     """Two evaluation reports were produced under different protocols."""

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import ergoloss, guidance, tokenizer
 from .errors import (
+    CheckpointError,
     ContextOverflow,
     EmptyInput,
-    NoEligiblePositions,
     NonFiniteLoss,
     OutOfRange,
 )
@@ -847,16 +847,19 @@ def _pad_batch(batch, vocab, max_vertex_index):
     return tokens, xy, vert
 
 
-def _plan_table(plan, soft_params, cache):
+def _plan_tables(plans, soft_params, cache):
+    """Each plan's PairTable from the cache; the missing ones are built
+    together, one per distinct plan."""
     # keyed on the plan's value (FloorPlan is frozen and hashable) and the
     # soft parameters the table was scored with: the cache outlives the
     # sample list, an id() could be recycled by another plan, and one state
     # may be stepped under several configurations
-    key = (plan, soft_params)
-    table = cache.get(key)
-    if table is None:
-        table = cache[key] = ergoloss.PairTable(plan, soft_params)
-    return table
+    keys = [(plan, soft_params) for plan in plans]
+    missing = list(dict.fromkeys(key for key in keys if key not in cache))
+    if missing:
+        built = ergoloss.pair_tables([plan for plan, _ in missing], soft_params)
+        cache.update(zip(missing, built))
+    return [cache[key] for key in keys]
 
 
 def _sample_alpha(table, guidance_cfg, floor=0.0):
@@ -864,6 +867,10 @@ def _sample_alpha(table, guidance_cfg, floor=0.0):
         return 0.0  # no applicable term: fall back to cross-entropy
     value = guidance.alpha(table.total, guidance_cfg)
     return value if value >= floor else 0.0
+
+
+# eligible rows per pass of the softmax chain rule's row sums
+_CHAIN_ROWS = 128
 
 
 def batch_loss_and_grads(
@@ -882,9 +889,14 @@ def batch_loss_and_grads(
     Per sample: cross-entropy over next-token predictions and, when guided
     and the sample's ground-truth plan loss is positive, the expected-token
     plan loss; the two are mixed by the sample's alpha and averaged over the
-    batch. The gradients are views into `workspace` (a fresh one when None)
-    and stay valid until it is used again. Guided training needs the
-    guidance resolution to be the model vocabulary's (ValueError).
+    batch. Both are assembled for the whole batch at once: the cache's
+    missing pair tables are built together, guidance.positional_losses
+    scores every guided sample in one pass, and the softmax chain rule runs
+    over all eligible rows in one array operation. Only the reductions
+    along each sample's rows stay per sample. The gradients are views into
+    `workspace` (a fresh one when None) and stay valid until it is used
+    again. Guided training needs the guidance resolution to be the model
+    vocabulary's (ValueError).
     """
     guidance_cfg = guidance_cfg or guidance.GuidanceConfig()
     soft_params = soft_params or ergoloss.SoftParams()
@@ -912,50 +924,56 @@ def batch_loss_and_grads(
     targets = tokens[:, 1:]
     valid = targets != vocab.pad
 
-    # the logits are spent once copied into rows, so their array receives
-    # d loss / d logits, assembled in float64 one sample at a time and cast
-    # to the parameter dtype
-    dlogits = logits
-    dsample = ws.take("dsample", probs.shape[1:], np.float64)
-    ce_per_sample = np.zeros(b)
+    # cross-entropy per sample over its valid positions, in sample order
+    at_sample, at_pos = np.nonzero(valid)
+    picked = targets[at_sample, at_pos]
+    n_valid = valid.sum(axis=1)
+    ends = np.cumsum(n_valid)
+    nll = -np.log(np.maximum(probs[at_sample, at_pos, picked], 1e-300))
+    ce_per_sample = np.array([nll[end - n : end].mean() for n, end in zip(n_valid, ends)])
+
     ergo_per_sample = np.full(b, np.nan)
     alphas = np.zeros(b)
-    for i, (seq, plan) in enumerate(batch):
-        n_valid = int(valid[i].sum())
-        pos_idx = np.nonzero(valid[i])[0]
-        p = probs[i, pos_idx]
-        tgt = targets[i, pos_idx]
-        ce_per_sample[i] = -np.log(np.maximum(p[np.arange(len(tgt)), tgt], 1e-300)).mean()
+    if train_cfg.guided:
+        tables = _plan_tables([plan for _, plan in batch], soft_params, alpha_cache)
+        alphas = np.array([_sample_alpha(t, guidance_cfg, train_cfg.alpha_floor) for t in tables])
+        guided = guidance.positional_losses(
+            [table if a > 0.0 else None for table, a in zip(tables, alphas)],
+            tokens,
+            rows,
+            guidance_cfg,
+            ws,
+        )
+        # a sample without an eligible position falls back to cross-entropy
+        alphas[guided.counts == 0] = 0.0
+        ergo_per_sample = guided.losses
 
-        a = 0.0
-        if train_cfg.guided:
-            table = _plan_table(plan, soft_params, alpha_cache)
-            a = _sample_alpha(table, guidance_cfg, train_cfg.alpha_floor)
-        alphas[i] = a
-
-        dce = p.copy()
-        dce[np.arange(len(tgt)), tgt] -= 1.0
-        dsample.fill(0)
-        dsample[pos_idx] = (1.0 - a) / (b * n_valid) * dce
-
-        if a > 0.0:
-            try:
-                result = guidance.positional_ergo_loss(
-                    table, seq, rows[i, : len(seq)], guidance_cfg, soft_params
-                )
-            except NoEligiblePositions:
-                alphas[i] = 0.0
-                dsample[pos_idx] = 1.0 / (b * n_valid) * dce
-            else:
-                ergo_per_sample[i] = result.loss
-                # softmax chain rule for all eligible rows at once; the
-                # logits for the token at position t sit at t - 1
-                at = result.positions
-                p_rows = rows[i, at]
-                g = result.grads
-                dz = p_rows * (g - (g * p_rows).sum(axis=1, keepdims=True))
-                dsample[at - 1] += (a / b) * dz
-        dlogits[i] = dsample
+    # d loss / d logits, assembled in float64 over the spent probabilities
+    # and cast to the logits' array, which is spent once copied into rows
+    dl = probs
+    dl[:, -1] = 0.0  # the last position predicts no target
+    dl[:, :-1][~valid] = 0.0
+    dl[at_sample, at_pos, picked] -= 1.0
+    dl *= np.divide(1.0 - alphas, b * n_valid, out=np.zeros(b), where=n_valid > 0)[:, None, None]
+    if train_cfg.guided and len(guided.samples):
+        # softmax chain rule for every eligible row at once; the row of the
+        # token at position t is rows[i, t], whose logits sit at dl[i, t - 1]
+        p_rows, g = guided.rows, guided.grads
+        scratch = ws.take("chain", (min(len(g), _CHAIN_ROWS), g.shape[1]), np.float64)
+        for start in range(0, len(g), _CHAIN_ROWS):
+            at = slice(start, start + _CHAIN_ROWS)
+            product = np.multiply(g[at], p_rows[at], out=scratch[: len(g[at])])
+            g[at] -= product.sum(axis=1, keepdims=True)
+        g *= p_rows
+        g *= (alphas[guided.samples] / b)[:, None]
+        # the spent probability rows receive the rows of dl they add to
+        at = guided.eligible[:, 0]
+        flat_at = guided.samples * (t + 1) + at
+        np.take(rows.reshape(-1, rows.shape[-1]), flat_at, axis=0, out=p_rows)
+        p_rows += g
+        dl[guided.samples, at - 1] = p_rows
+    dlogits = logits
+    dlogits[...] = dl
 
     have_ergo = ~np.isnan(ergo_per_sample)
     ergo_mean = float(ergo_per_sample[have_ergo].mean()) if have_ergo.any() else 0.0
@@ -1095,13 +1113,13 @@ def load_checkpoint(path):
     data = np.load(path, allow_pickle=False)
     meta = json.loads(bytes(data["__meta__"]).decode())
     if meta["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        raise CheckpointError(f"unsupported checkpoint version {meta['version']}")
     model_cfg = ModelConfig(**meta["model_config"])
     params = {k[2:]: data[k].copy() for k in data.files if k.startswith("p.")}
     adam_m = {k[2:]: data[k].copy() for k in data.files if k.startswith("m.")}
     adam_v = {k[2:]: data[k].copy() for k in data.files if k.startswith("v.")}
     if parameter_checksum(params) != meta["checksum"]:
-        raise ValueError("checkpoint parameter checksum mismatch")
+        raise CheckpointError("checkpoint parameter checksum mismatch")
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
     state = TrainState(

@@ -12,6 +12,8 @@ positioned failure, never an exception.
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContextOverflow
 from .plan import DoorSegment, FloorPlan, RoomPolygon, RoomType
 
@@ -207,31 +209,30 @@ def decode(tokens, vocab):
     return ParseOutcome(plan=plan)
 
 
+def room_coordinates(tokens, vocab):
+    """Every room-segment coordinate token of a (rows, length) token array,
+    as int arrays (row, position, room_index, vertex_index, axis) in
+    row-major order; axis 0 is x, 1 is y. Rows may end in any padding that
+    is not a coordinate token."""
+    tokens = np.asarray(tokens)
+    coordinate = (tokens >= 0) & (tokens < vocab.resolution)
+    room = (tokens >= vocab.room_token_base) & (tokens < vocab.room_token_base + N_ROOM_TYPES)
+    # the latest segment start at or before each position (-1 before any):
+    # coordinates after it alternate x, y and count vertices from 0
+    start = np.maximum.accumulate(np.where(coordinate, -1, np.arange(tokens.shape[1])), axis=1)
+    in_room = np.take_along_axis(room, np.maximum(start, 0), axis=1) & (start >= 0)
+    row, pos = np.nonzero(coordinate & in_room)
+    k = pos - start[row, pos] - 1
+    room_index = np.cumsum(room, axis=1)[row, pos] - 1
+    return row, pos, room_index, k // 2, k % 2
+
+
 def room_coordinate_positions(seq, vocab):
     """All positions of room-segment coordinate tokens, with their target:
     [(position, room_index, vertex_index, axis)] where axis 0 is x, 1 is y."""
-    out = []
-    room_index = -1
-    in_room = False
-    pair = 0
-    expecting_y = False
-    for pos, t in enumerate(seq.tokens):
-        if vocab.is_coordinate(t):
-            if in_room:
-                axis = 1 if expecting_y else 0
-                if not expecting_y:
-                    pair += 1
-                out.append((pos, room_index, pair - 1, axis))
-            expecting_y = not expecting_y if vocab.is_coordinate(t) else False
-            continue
-        expecting_y = False
-        pair = 0
-        if vocab.room_type_of(t) is not None:
-            room_index += 1
-            in_room = True
-        else:
-            in_room = False
-    return out
+    tokens = np.asarray(seq.tokens, dtype=np.int64).reshape(1, -1)
+    _, *columns = room_coordinates(tokens, vocab)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def boundary_door_prefix(seq, vocab):

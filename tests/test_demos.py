@@ -1,10 +1,12 @@
-"""Smoke-run the fast narrative demos so they cannot rot unnoticed.
+"""Smoke-run the narrative demos so they cannot rot unnoticed.
 
 Each demo asserts its own claims (invariances, exact gradients, round
-trips); running it in-process takes well under a second. The render
-gallery runs from a copy under a temporary directory, so the SVG files it
-writes next to itself stay out of the tree. Not run here:
-06_train_toy_model.py trains two models for several minutes.
+trips); the first five take well under a second in-process.
+06_train_toy_model.py trains a baseline and a guided model, generates and
+evaluates: the guided train -> generate -> eval path end to end, in about
+half a minute on two cores. The render gallery runs from a copy under a
+temporary directory, so the SVG files it writes next to itself stay out of
+the tree.
 """
 
 import runpy
@@ -36,3 +38,10 @@ def test_render_gallery_runs(tmp_path, capsys):
     written = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert len(written) == 12 and all(name.endswith(".svg") for name in written)
     assert "wrote 12 files" in capsys.readouterr().out
+
+
+def test_train_toy_model_runs(capsys):
+    runpy.run_path(str(DEMOS / "06_train_toy_model.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "training guided (400 steps)" in out
+    assert "guided vs baseline deltas" in out

@@ -562,3 +562,117 @@ class TestProperties:
             ref_losses, ref_dvalues = oracles.substituted_losses(vplan, substitutions, params)
             assert np.array_equal(losses, ref_losses)
             assert np.array_equal(dvalues, ref_dvalues)
+
+
+KINDS = st.sampled_from(
+    [
+        RoomType.Entrance,
+        RoomType.Kitchen,
+        RoomType.DiningRoom,
+        RoomType.Bathroom,
+        RoomType.LivingRoom,
+        RoomType.MasterRoom,
+        RoomType.Balcony,
+        RoomType.Storage,
+    ]
+)
+# rectangles on a 4-cell lattice, possibly overlapping: up to 12 rooms
+lattice_plans = st.lists(
+    st.tuples(KINDS, st.integers(0, 14), st.integers(0, 14), st.integers(1, 2), st.integers(1, 2)),
+    min_size=1,
+    max_size=12,
+).map(
+    lambda rooms: make_plan(
+        rect(0, 0, 64, 64),
+        ((0, 4), (0, 8)),
+        [(k, rect(4 * x, 4 * y, 4 * (x + w), 4 * (y + h))) for k, x, y, w, h in rooms],
+    )
+)
+
+
+def crowded_plan(kind, n, rng):
+    """n rooms of one kind at random places, with a bathroom, a kitchen and
+    a balcony: 8 or more clients of a rule or targets of the balcony."""
+    corners = rng.integers(0, 56, size=(n + 3, 2))
+    sizes = rng.integers(2, 8, size=(n + 3, 2))
+    kinds = [kind] * n + [RoomType.Bathroom, RoomType.Kitchen, RoomType.Balcony]
+    rooms = [
+        (k, rect(x, y, x + w, y + h))
+        for k, (x, y), (w, h) in zip(kinds, corners.tolist(), sizes.tolist())
+    ]
+    return make_plan(rect(0, 0, 64, 64), ((0, 4), (0, 8)), rooms)
+
+
+def substitutions_for(plan, draw_int, draw_value, count):
+    vplan = VertexPlan.from_plan(plan)
+    out = []
+    for _ in range(count):
+        ri = draw_int(0, len(vplan.room_coords) - 1)
+        out.append((ri, draw_int(0, len(vplan.room_coords[ri]) - 1), draw_int(0, 1), draw_value()))
+    return out
+
+
+def assert_batch_equals_per_plan(plans, subs_per_plan, params):
+    """pair_tables equals PairTable alone, and batch_substituted_losses
+    equals one substituted_losses call per plan, bit for bit."""
+    tables = ergoloss.pair_tables(plans, params)
+    for plan, table in zip(plans, tables, strict=True):
+        alone = ergoloss.PairTable(plan, params)
+        assert np.array_equal(table.base, alone.base)
+        assert (table.values, table.total) == (alone.values, alone.total)
+    scored = [(t, subs) for t, subs in zip(tables, subs_per_plan) if t.total is not None]
+    if not scored:
+        return
+    owner = [i for i, (_, subs) in enumerate(scored) for _ in subs]
+    flat = [s for _, subs in scored for s in subs]
+    losses, dvalues = ergoloss.batch_substituted_losses([t for t, _ in scored], owner, flat)
+    expected = [ergoloss.substituted_losses(t, subs) for t, subs in scored]
+    assert np.array_equal(losses, np.concatenate([e[0] for e in expected]))
+    assert np.array_equal(dvalues, np.concatenate([e[1] for e in expected]))
+
+
+class TestBatch:
+    """Several plans scored in one batch equal each plan scored alone."""
+
+    @settings(max_examples=40)
+    @given(st.lists(st.one_of(plans, lattice_plans), min_size=1, max_size=5), st.data())
+    def test_batch_substituted_losses_equal_per_plan(self, plan_list, data):
+        subs = [
+            substitutions_for(
+                plan,
+                lambda lo, hi: data.draw(st.integers(lo, hi)),
+                lambda: data.draw(st.floats(0.0, 64.0)),
+                data.draw(st.integers(1, 4)),
+            )
+            for plan in plan_list
+        ]
+        for params in (SoftParams(), CELLS):
+            assert_batch_equals_per_plan(plan_list, subs, params)
+
+    def test_crowded_rules_equal_per_plan_and_oracle(self, rng):
+        # 8 or more clients of one rule and 8 or more balcony targets, with
+        # tables that have one substitution and tables that have several
+        def draw_int(lo, hi):
+            return int(rng.integers(lo, hi + 1))
+
+        def draw_value():
+            return float(rng.uniform(-4.0, 68.0))
+
+        for n in (8, 9, 12):
+            for kind in (RoomType.LivingRoom, RoomType.DiningRoom, RoomType.MasterRoom):
+                plans = [crowded_plan(kind, n, rng), crowded_plan(RoomType.Entrance, n - 5, rng)]
+                subs = [
+                    substitutions_for(p, draw_int, draw_value, k) for p, k in zip(plans, (1, 5))
+                ]
+                assert_batch_equals_per_plan(plans, subs, SoftParams())
+                assert_batch_equals_per_plan(plans[::-1], [subs[1], subs[0][:1]], CELLS)
+                # the table and a lone substitution against the oracle, whose
+                # client means share the table's pairwise sums
+                vplan = VertexPlan.from_plan(plans[0])
+                values, total, _ = oracles.evaluate(vplan, SoftParams())
+                table = ergoloss.PairTable(vplan, SoftParams())
+                assert table.total == total[0]
+                assert all(table.values[t] == (v if v is None else v[0]) for t, v in values.items())
+                TestReferenceTerms.assert_close(
+                    *TestReferenceTerms.evaluate_both(vplan, SoftParams(), subs[0]), atol=0.0
+                )

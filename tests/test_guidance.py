@@ -132,7 +132,7 @@ class TestCollapse:
                     )
                     assert result.loss == loss
                     assert result.eligible_positions == eligible
-                    assert result.positions.tolist() == list(row_grads)
+                    assert [pos for pos, *_ in result.eligible_positions] == list(row_grads)
                     for g, ref_g in zip(result.grads, row_grads.values(), strict=True):
                         assert np.array_equal(g, ref_g)
 
@@ -195,7 +195,7 @@ class TestPositionalLoss:
         rows[skipped, V.eos] = 1.0
         result = guidance.positional_ergo_loss(plan, seq, rows, CFG, CELLS)
         assert len(result.eligible_positions) == len(positions) - 1
-        assert skipped not in result.positions
+        assert skipped not in [pos for pos, *_ in result.eligible_positions]
 
     def test_row_grad_matches_renormalized_fd(self, rng):
         plan = plan_with_rooms()
@@ -210,7 +210,7 @@ class TestPositionalLoss:
         rows[pos, gt_token + 1] = 0.3
         rows[pos, gt_token - 1] = 0.15
         result = guidance.positional_ergo_loss(plan, seq, rows, CFG, CELLS)
-        g = result.grads[result.positions.tolist().index(pos)]
+        g = result.grads[[p for p, *_ in result.eligible_positions].index(pos)]
         h = 1e-6
         for j in (gt_token - 1, gt_token, gt_token + 1):
             plus, minus = rows.copy(), rows.copy()

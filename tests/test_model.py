@@ -12,7 +12,7 @@ from conftest import make_plan, rect
 
 from ergoplan import dataset, ergoloss, guidance, metrics, model, tokenizer
 from ergoplan.dataset import SynthConfig, synth_plan
-from ergoplan.errors import ContextOverflow, EmptyInput, OutOfRange
+from ergoplan.errors import ContextOverflow, EmptyInput, NoEligiblePositions, OutOfRange
 from ergoplan.model import Model, ModelConfig, TrainConfig
 from ergoplan.plan import RoomType
 
@@ -482,6 +482,93 @@ class TestRowHalves:
             assert not k[:, :, width:].any() and not v[:, :, width:].any()
 
 
+def recipe_guided_batch(recipe_batches):
+    """16 recipe samples: one plan twice, one plan that no rule applies to,
+    and a last sample that predicts EOS everywhere (see eos_last)."""
+    storage = make_plan(
+        rect(0, 0, 64, 64), ((0, 4), (0, 8)), [(RoomType.Storage, rect(16, 16, 32, 32))]
+    )
+    batch = recipe_batches[0][:13] + [recipe_batches[0][2], (tokenizer.encode(storage, V), storage)]
+    guided = next(s for s in recipe_batches[1] if ergoloss.ergonomic_loss(s[1]).total > 0)
+    return batch + [guided]
+
+
+def eos_last(forward):
+    """forward_logits whose last row predicts EOS at every position, so that
+    the sample has no eligible position under any weights."""
+
+    def wrapped(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        logits = out[0] if isinstance(out, tuple) else out
+        logits[-1, :, V.eos] += 100.0
+        return out
+
+    return wrapped
+
+
+class TestGuidedBatch:
+    """The guidance of a whole batch is scored at once; it must equal the
+    per-sample reference bit for bit."""
+
+    GUIDANCE = guidance.GuidanceConfig(gamma=5.0)
+
+    def test_recipe_batch_equals_per_sample_oracle(self, monkeypatch, recipe_batches):
+        batch = recipe_guided_batch(recipe_batches)
+        assert len(batch) == 16 and batch[2] is batch[13]
+        assert ergoloss.PairTable(batch[14][1]).total is None
+        params = noisy_params(RECIPE)
+        tcfg = TrainConfig(batch_size=16, guided=True)
+        monkeypatch.setattr(model, "forward_logits", eos_last(model.forward_logits))
+        # the last sample would be guided but has no eligible position
+        seq, plan = batch[-1]
+        tokens, xy, vert = model._pad_batch([(seq, plan)], V, RECIPE.max_vertex_index)
+        logits = model.forward_logits(params, RECIPE, tokens, xy, vert)[0, :-1]
+        rows = np.zeros((len(seq), V.size))
+        rows[1:] = model._softmax(logits.astype(np.float64))
+        with pytest.raises(NoEligiblePositions):
+            guidance.positional_ergo_loss(plan, seq, rows, self.GUIDANCE)
+
+        loss, grads = model.batch_loss_and_grads(batch, params, RECIPE, tcfg, self.GUIDANCE)
+        ref_loss, ref_grads = oracles.batch_loss_and_grads(
+            batch, params, RECIPE, tcfg, self.GUIDANCE
+        )
+        assert 0.0 < loss.alpha < 1.0
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert np.array_equal(grads[name], ref), name
+
+    def test_cold_cache_step_equals_warm_step(self, recipe_batches):
+        batch = recipe_guided_batch(recipe_batches)
+        params = noisy_params(RECIPE, seed=2)
+        tcfg = TrainConfig(batch_size=16, guided=True)
+        cache = {}
+        cold_loss, cold = model.batch_loss_and_grads(
+            batch, params, RECIPE, tcfg, self.GUIDANCE, alpha_cache=cache
+        )
+        cold = {name: g.copy() for name, g in cold.items()}
+        sp = ergoloss.SoftParams()
+        assert cache.keys() == {(plan, sp) for _, plan in batch}
+        assert len(cache) == 15  # one plan is drawn twice
+        for (plan, params_), table in cache.items():
+            alone = ergoloss.PairTable(plan, params_)
+            assert table.pairs == alone.pairs
+            assert np.array_equal(table.base, alone.base)
+            assert [(t, c) for t, c, _ in table.rules] == [(t, c) for t, c, _ in alone.rules]
+            for (_, _, cols), (_, _, alone_cols) in zip(table.rules, alone.rules, strict=True):
+                assert np.array_equal(cols, alone_cols)
+            assert table.values == alone.values
+            assert table.total == alone.total
+        tables = dict(cache)
+        warm_loss, warm = model.batch_loss_and_grads(
+            batch, params, RECIPE, tcfg, self.GUIDANCE, alpha_cache=cache
+        )
+        assert warm_loss == cold_loss
+        assert all(np.array_equal(warm[name], g) for name, g in cold.items())
+        assert cache.keys() == tables.keys()
+        assert all(cache[key] is table for key, table in tables.items())
+
+
 class TestTraining:
     def test_loss_decreases_on_memorization(self, memorized):
         _, log, _ = memorized
@@ -530,7 +617,7 @@ class TestTraining:
         gcfg = guidance.GuidanceConfig()
         sp = ergoloss.SoftParams()
         cache = {id(spread_plan): 0.75, (id(spread_plan), sp): 0.75}
-        alpha = model._sample_alpha(model._plan_table(spread_plan, sp, cache), gcfg)
+        alpha = model._sample_alpha(model._plan_tables([spread_plan], sp, cache)[0], gcfg)
         assert alpha == guidance.alpha(ergoloss.ergonomic_loss(spread_plan, sp).total, gcfg)
         assert alpha != 0.75
 

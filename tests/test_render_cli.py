@@ -4,6 +4,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from ergoplan import dataset, model, render, tokenizer
@@ -293,6 +294,27 @@ class TestTrainGenerateCli:
         assert err.value.code == 1
         assert "ERGOPLAN_SEED" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    def test_bad_checkpoint_is_a_data_error(self, tmp_path, capsys):
+        cfg = model.ModelConfig(layers=1, heads=1, embed_dim=8, context_len=64)
+        good = tmp_path / "m.npz"
+        model.save_checkpoint(good, model.init_train_state(cfg, model.TrainConfig()), cfg)
+        data = dict(np.load(good))
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        cases = {
+            "checksum mismatch": {"checksum": "0" * len(meta["checksum"])},
+            "unsupported checkpoint version": {"version": model.CHECKPOINT_VERSION + 1},
+        }
+        for message, change in cases.items():
+            bad = tmp_path / "bad.npz"
+            changed = json.dumps({**meta, **change}).encode()
+            data["__meta__"] = np.frombuffer(changed, dtype=np.uint8)
+            np.savez(bad, **data)
+            assert main(["generate", "--checkpoint", str(bad), "--from-scratch"]) == 2
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+            assert captured.out == ""
 
     def test_split_selects_plans_for_generate_and_eval(self, tmp_path, capsys):
         corpus_dir = tmp_path / "c"
