@@ -11,10 +11,21 @@ from functools import cached_property
 from .errors import DegenerateArea, EmptyInput, NotRectilinear, SelfIntersecting
 
 
+class _IntLoop(tuple):
+    """A vertex loop known to hold (int, int) tuples. Plan types store their
+    loops as these and normalize_loop returns one, so nothing converts them
+    again; slicing or concatenating gives a plain tuple."""
+
+    __slots__ = ()
+
+
 def _loop(obj):
-    """Extract a vertex loop from a polygon-like object or bare sequence."""
+    """The vertex loop of a polygon-like object or bare sequence as an
+    _IntLoop of (int, int) tuples; an _IntLoop is returned as it is."""
     verts = getattr(obj, "vertices", obj)
-    return [(int(x), int(y)) for x, y in verts]
+    if isinstance(verts, _IntLoop):
+        return verts
+    return _IntLoop([(int(x), int(y)) for x, y in verts])
 
 
 def signed_area2(loop):
@@ -73,7 +84,7 @@ def normalize_loop(loop):
     """
     pts = _loop(loop)
     # drop consecutive duplicates (including the wraparound)
-    dedup = [p for p, q in zip(pts, [None] + pts) if p != q]
+    dedup = [p for p, q in zip(pts, (None, *pts)) if p != q]
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     if len(dedup) < 4:
@@ -109,7 +120,7 @@ def normalize_loop(loop):
         corners.reverse()
 
     start = corners.index(min(corners))
-    return tuple(corners[start:] + corners[:start])
+    return _IntLoop(corners[start:] + corners[:start])
 
 
 def _check_simple(corners):

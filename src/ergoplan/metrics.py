@@ -153,7 +153,7 @@ def evaluate(sequences, cfg=None, threads=1):
     order, so results are identical to a serial run.
     """
     cfg = cfg or EvalConfig()
-    sequences = [list(getattr(s, "tokens", s)) for s in sequences]
+    sequences = list(sequences)  # decode converts each sequence's tokens
     n = len(sequences)
     if threads > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -51,7 +51,7 @@ class ScaleConfig:
 
     def __post_init__(self):
         if not self.meters_per_cell > 0:
-            raise InvariantViolation("scale.meters_per_cell", "must be positive")
+            raise ValueError("meters_per_cell must be positive")
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ class RoomPolygon:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", RoomType(self.kind))
-        object.__setattr__(
-            self, "vertices", tuple((int(x), int(y)) for x, y in self.vertices)
-        )
+        object.__setattr__(self, "vertices", geometry._loop(self.vertices))
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,16 @@ class FloorPlan:
     rooms: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "boundary", tuple((int(x), int(y)) for x, y in self.boundary)
-        )
+        object.__setattr__(self, "boundary", geometry._loop(self.boundary))
         object.__setattr__(self, "rooms", tuple(self.rooms))
+
+
+def _exact(cls, **fields):
+    """A plan dataclass from field values that are already what its
+    constructor would make them (an _IntLoop, a RoomType); nothing runs."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def normalize_polygon(poly):
@@ -180,27 +184,17 @@ def deserialize_plan(text):
         raise PlanSyntaxError("top-level value must be an object")
     try:
         resolution = int(payload["resolution"])
-        boundary = tuple((int(x), int(y)) for x, y in payload["boundary"])
+        boundary = geometry._loop(payload["boundary"])
         (ax, ay), (bx, by) = payload["door"]
+        door = DoorSegment((ax, ay), (bx, by))
         rooms = []
         for i, room in enumerate(payload.get("rooms", [])):
             type_name = room["type"]
             if type_name not in RoomType.__members__:
                 raise InvariantViolation(f"rooms[{i}].type", f"unknown room type {type_name!r}")
-            rooms.append(
-                RoomPolygon(
-                    RoomType[type_name],
-                    tuple((int(x), int(y)) for x, y in room["polygon"]),
-                )
-            )
+            rooms.append(RoomPolygon(RoomType[type_name], room["polygon"]))
     except InvariantViolation:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise PlanSyntaxError(f"malformed plan object: {exc!r}") from exc
-    plan = FloorPlan(
-        resolution=resolution,
-        boundary=boundary,
-        door=DoorSegment((int(ax), int(ay)), (int(bx), int(by))),
-        rooms=tuple(rooms),
-    )
-    return validate_plan(plan)
+    return validate_plan(FloorPlan(resolution, boundary, door, rooms))

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContextOverflow
-from .plan import DoorSegment, FloorPlan, RoomPolygon, RoomType
+from .geometry import _IntLoop
+from .plan import DoorSegment, FloorPlan, RoomPolygon, RoomType, _exact
 
 DEFAULT_CONTEXT = 320
+_ROOM_TYPES = tuple(RoomType)  # indexed by ordinal
 N_ROOM_TYPES = len(RoomType)
 
 
@@ -48,7 +50,7 @@ class Vocabulary:
 
     def room_type_of(self, token):
         if self.room_token_base <= token < self.room_token_base + N_ROOM_TYPES:
-            return RoomType(token - self.room_token_base)
+            return _ROOM_TYPES[token - self.room_token_base]
         return None
 
     def is_coordinate(self, token):
@@ -149,7 +151,7 @@ def decode(tokens, vocab):
     geometric invariants of the decoded polygons are a separate concern,
     checked by plan validation and the evaluation metrics.
     """
-    tokens = [int(t) for t in getattr(tokens, "tokens", tokens)]
+    tokens = list(map(int, getattr(tokens, "tokens", tokens)))
     # a coordinate run ends at the first token outside [0, resolution)
     stops = [i for i, t in enumerate(tokens) if not 0 <= t < vocab.resolution]
     stops.append(len(tokens))
@@ -158,7 +160,7 @@ def decode(tokens, vocab):
         """(coordinates, (x, y) pairs, next position) of the run at pos."""
         end = stops[bisect_left(stops, pos)]
         coords = tokens[pos:end]
-        return coords, list(zip(coords[::2], coords[1::2])), end
+        return coords, _IntLoop(zip(coords[::2], coords[1::2])), end
 
     def fail(position, reason):
         return ParseOutcome(position=position, reason=reason)
@@ -192,7 +194,7 @@ def decode(tokens, vocab):
             return fail(pos, "unpaired coordinate in room")
         if len(coords) < 8:
             return fail(pos, "room needs at least 4 vertices")
-        rooms.append(RoomPolygon(kind, tuple(points)))
+        rooms.append(_exact(RoomPolygon, kind=kind, vertices=points))
     if pos >= len(tokens) or tokens[pos] != vocab.eos:
         return fail(pos, "expected EOS or a segment start token")
     pos += 1
@@ -200,10 +202,11 @@ def decode(tokens, vocab):
         if tokens[pos] != vocab.pad:
             return fail(pos, "unexpected token after EOS")
         pos += 1
-    plan = FloorPlan(
+    plan = _exact(
+        FloorPlan,
         resolution=vocab.resolution,
-        boundary=tuple(boundary),
-        door=DoorSegment(door_points[0], door_points[1]),
+        boundary=boundary,
+        door=_exact(DoorSegment, a=door_points[0], b=door_points[1]),
         rooms=tuple(rooms),
     )
     return ParseOutcome(plan=plan)

@@ -165,6 +165,36 @@ class TestNormalize:
             assert outcome(geometry.normalize_loop, loop) == outcome(oracles.normalize_loop, loop)
             assert outcome(geometry.rect_decompose, loop) == outcome(oracles.rect_decompose, loop)
 
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_converts_every_loop_form(self, seed):
+        """A loop given as lists, numpy int64 or integral floats (all of
+        them, or all but the first vertex), or held by a RoomPolygon, gives
+        the int-tuple loop's results, and every vertex and area that comes
+        back is made of Python ints."""
+        other = rect(2, 3, 9, 7)
+        for loop in loop_cases(seed):
+            forms = (
+                [list(p) for p in loop],
+                np.array(loop, dtype=np.int64),
+                tuple((float(x), float(y)) for x, y in loop),
+                (loop[0], *((float(x), y) for x, y in loop[1:])),
+                RoomPolygon(RoomType.Kitchen, loop).vertices,
+            )
+            for fn in (geometry.normalize_loop, geometry.rect_decompose):
+                expected = outcome(fn, loop)
+                for form in forms:
+                    got = outcome(fn, form)
+                    assert got == expected
+                    if not isinstance(got[0], type):  # a loop or rectangles
+                        assert all(type(c) is int for item in got for c in item)
+            area = geometry.signed_area2(loop)
+            distance = geometry.min_distance(loop, other)
+            for form in forms:
+                got = geometry.signed_area2(form)
+                assert type(got) is int and got == area
+                assert same_bits(geometry.min_distance(form, other), distance)
+
     def test_cases_reach_every_outcome(self):
         outcomes = [
             outcome(geometry.normalize_loop, loop) for seed in range(40) for loop in loop_cases(seed)

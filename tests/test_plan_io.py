@@ -74,6 +74,16 @@ def test_malformed_json_is_syntax_error():
         deserialize_plan('{"resolution": 256}')
 
 
+@pytest.mark.parametrize("field", ["boundary", "door", "rooms"])
+@pytest.mark.parametrize("bad", [None, "x", [1]])
+def test_non_numeric_coordinate_is_syntax_error(tiling_plan, field, bad):
+    payload = json.loads(serialize_plan(tiling_plan))
+    points = payload["rooms"][0]["polygon"] if field == "rooms" else payload[field]
+    points[0][0] = bad
+    with pytest.raises(PlanSyntaxError):
+        deserialize_plan(json.dumps(payload))
+
+
 def test_validate_accepts_valid(tiling_plan, spread_plan):
     validate_plan(tiling_plan)
     validate_plan(spread_plan)

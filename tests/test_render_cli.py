@@ -95,10 +95,10 @@ class TestCli:
     @pytest.mark.parametrize("scale", ["0", "-1"])
     def test_non_positive_scale_is_rejected(self, command, scale, plan_file, corpus_dir, capsys):
         target = ["--corpus", str(corpus_dir)] if command == "eval" else [str(plan_file)]
-        assert main([command, *target, "--meters-per-cell", scale]) == 2
+        assert main([command, *target, "--meters-per-cell", scale]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: scale.meters_per_cell: must be positive"]
+        assert captured.err.splitlines() == ["error: meters_per_cell must be positive"]
 
     @pytest.mark.parametrize(
         "argv, named",

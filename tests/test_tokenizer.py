@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import oracles
 import pytest
@@ -9,7 +11,7 @@ from conftest import make_plan, rect
 from ergoplan import tokenizer
 from ergoplan.dataset import SynthConfig, synth_plan
 from ergoplan.errors import ContextOverflow
-from ergoplan.plan import RoomType
+from ergoplan.plan import DoorSegment, FloorPlan, RoomPolygon, RoomType
 from ergoplan.tokenizer import TokenSequence, Vocabulary, decode, encode
 
 V = Vocabulary(256)
@@ -146,14 +148,46 @@ def mutated_encoding(seed):
     return tokens
 
 
+def typed(value):
+    """value as nested (type, parts) pairs, so that == also tells
+    2 from RoomType.Kitchen and 3 from 3.0."""
+    if dataclasses.is_dataclass(value):
+        parts = tuple(typed(getattr(value, f.name)) for f in dataclasses.fields(value))
+    elif isinstance(value, tuple):
+        parts = tuple(typed(v) for v in value)
+    else:
+        parts = value
+    return type(value), parts
+
+
 @settings(max_examples=300)
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(-2, V.size + 1), max_size=40))
 def test_decode_same_as_earlier_decoder(seed, stream):
     """Reading each coordinate run as one slice gives the earlier
-    per-token decoder's outcome: the same plan, or the same failure
-    position and reason."""
+    per-token decoder's outcome, types included, from lists and numpy
+    arrays alike: the same plan, or the same failure position and reason.
+    A decoded plan, built without the public constructors, has RoomType
+    kinds and Python int coordinates, and equals, hashes like and has the
+    types of the plan the constructors build from loose values."""
     for tokens in (mutated_encoding(seed), stream, [V.bos, V.boundary_token, *stream]):
-        assert decode(tokens, V) == oracles.decode(tokens, V)
+        expected = typed(oracles.decode(tokens, V))
+        assert typed(decode(tokens, V)) == expected
+        assert typed(decode(np.array(tokens, dtype=np.int64), V)) == expected
+        plan = decode(tokens, V).plan
+        if plan is None:
+            continue
+        assert all(type(room.kind) is RoomType for room in plan.rooms)
+        rooms = [room.vertices for room in plan.rooms]
+        points = [*plan.boundary, plan.door.a, plan.door.b, *(p for loop in rooms for p in loop)]
+        assert all(type(p) is tuple and [type(c) for c in p] == [int, int] for p in points)
+        rebuilt = FloorPlan(
+            resolution=plan.resolution,
+            boundary=[[float(x), y] for x, y in plan.boundary],
+            door=DoorSegment(np.array(plan.door.a), list(plan.door.b)),
+            rooms=[RoomPolygon(int(room.kind), [list(p) for p in room.vertices]) for room in plan.rooms],
+        )
+        assert plan == rebuilt and hash(plan) == hash(rebuilt)
+        assert typed(rebuilt) == typed(plan)
 
 
 def test_room_vertex_coordinate_classification(tiling_plan):
