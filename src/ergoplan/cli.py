@@ -284,9 +284,11 @@ def _cmd_guidance_check(args):
         # without a model, use the ground-truth one-hot rows
         rows = np.zeros((len(seq), vocab.size))
         rows[np.arange(len(seq)), np.array(seq.tokens)] = 1.0
-    positions = guidance.eligible_positions(seq, rows, vocab, cfg)
+    tokens = np.array(seq.tokens).reshape(1, -1)
+    _, *columns = guidance.eligible_positions(tokens, rows[None], vocab, cfg)
+    positions = list(zip(*(column.tolist() for column in columns)))
     breakdown = ergoloss.ergonomic_loss(plan)
-    v_bars, _ = guidance.collapse(rows[[pos for pos, *_ in positions]], cfg)
+    v_bars, _ = guidance.collapse(rows[columns[0]], cfg)
     entries = [
         {
             "position": pos,

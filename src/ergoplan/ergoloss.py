@@ -8,10 +8,9 @@ pass, so the loss is exactly differentiable w.r.t. vertex coordinates.
 
 A PairTable scores every rule pair of a plan once. Teacher-forced
 guidance then asks for many "variants" of that plan, each with one vertex
-coordinate replaced; substituted_losses re-scores only the pairs that
-involve the replaced room, batched across variants by vertex-count shape,
-and redoes the cheap softmin combines. batch_substituted_losses does this
-for the variants of many plans at once, and pair_tables builds many plans'
+coordinate replaced; batch_substituted_losses re-scores only the pairs
+that involve the replaced room and redoes the cheap softmin combines, for
+the variants of many plans at once, and pair_tables builds many plans'
 tables at once: one kernel call per vertex-count shape and one softmin call
 per target count, with every sum in the order of one plan at a time, so
 the results are those of per-plan calls bit for bit.
@@ -315,14 +314,12 @@ def _combine(tables, owner, offsets, dist, deriv=None):
     one softmin call combines the rows of every rule, client, variant and
     table that have the same number of targets.
 
-    Every sum keeps the order that numpy gives a table's own (clients,
-    variants, targets) layout, so that a batch equals its tables scored one
-    at a time bit for bit. numpy sums a contiguous row pairwise and an array
-    laid out by columns one column at a time; the two orders agree below 8
-    terms. So terms, and each term's clients, add up one by one from 0.0,
-    except that a table's lone variant sums 8 or more clients pairwise; a
-    softmin row sums its targets pairwise, except that a one-client rule of
-    a table with several variants sums 8 or more targets one by one.
+    Every sum keeps one order whatever the batch, so that a batch equals
+    its tables scored one at a time bit for bit. numpy sums a contiguous
+    row pairwise, which agrees with adding one by one below 8 terms. So
+    terms, and each term's clients, add up one by one from 0.0, except that
+    a table's lone variant sums 8 or more clients pairwise; a softmin row
+    sums its targets pairwise.
     """
     beta = _shared_params(tables).beta
     n_variants = len(owner)
@@ -348,17 +345,7 @@ def _combine(tables, owner, offsets, dist, deriv=None):
         variant, row = _spread(per_table, owner)
         slots = offsets[variant][:, None] + cols[row]
         term, client, count = term[row], client[row], count[row]
-        distances = dist[slots]
-        by_column = (count == 1) & ~lone[variant]
-        if by_column.any() and width >= 8:
-            combined = np.empty(len(distances))
-            weights = np.empty_like(distances)
-            for subset, layout in ((by_column, np.asfortranarray), (~by_column, np.asarray)):
-                combined[subset], weights[subset] = _soft_combine(
-                    layout(distances[subset]), beta
-                )
-        else:
-            combined, weights = _soft_combine(distances, beta)
+        combined, weights = _soft_combine(dist[slots], beta)
         client_values[variant, term, 1 + client] = combined
         client_counts[variant, term] = count
         if deriv is not None:
@@ -379,20 +366,10 @@ def _combine(tables, owner, offsets, dist, deriv=None):
     return values, total, _running_sum(padded)
 
 
-def as_pair_table(plan, params=None):
-    """The plan's PairTable; a PairTable is returned as it is, after a check
-    that it was built with `params` (when given)."""
-    if isinstance(plan, PairTable):
-        if params is not None and params != plan.params:
-            raise ValueError("the pair table was built with other soft parameters")
-        return plan
-    return PairTable(plan, params)
-
-
 def ergonomic_loss(plan, params=None):
     """LossBreakdown over the four terms; total is the mean of the applicable
     ones (None when none applies)."""
-    table = as_pair_table(plan, params)
+    table = PairTable(plan, params)
     return LossBreakdown(dict(table.values), table.total)
 
 
@@ -410,39 +387,23 @@ def ergonomic_loss_grad(plan, params=None):
         # each coordinate substituted by itself: d total / d that coordinate
         where = [(ri, vi, axis) for ri, c in enumerate(grads) for vi, axis in np.ndindex(c.shape)]
         subs = [(ri, vi, axis, vplan.room_coords[ri][vi, axis]) for ri, vi, axis in where]
-        for (ri, vi, axis), d in zip(where, substituted_losses(table, subs)[1]):
+        _, dvalues = batch_substituted_losses([table], np.zeros(len(subs), dtype=np.intp), subs)
+        for (ri, vi, axis), d in zip(where, dvalues):
             grads[ri][vi, axis] = d
-    return ergonomic_loss(table), grads
-
-
-def substituted_losses(plan, substitutions, params=None):
-    """Loss of the plan with one vertex coordinate replaced, for a batch of
-    substitutions (room_index, vertex_index, axis, cell_value).
-
-    `plan` may be a PairTable, which then carries the soft parameters. This
-    is batch_substituted_losses over one table.
-
-    Returns (losses (V,), dloss/dvalue (V,)); both None when no term
-    applies. The derivative is taken w.r.t. the substituted cell value.
-    """
-    table = as_pair_table(plan, params)
-    if not len(substitutions):
-        raise EmptyInput("no substitutions given")
-    if table.total is None:
-        return None, None
-    owner = np.zeros(len(substitutions), dtype=np.intp)
-    return batch_substituted_losses([table], owner, substitutions)
+    return LossBreakdown(dict(table.values), table.total), grads
 
 
 def batch_substituted_losses(tables, owner, substitutions):
-    """substituted_losses over several plans at once: substitution e
-    (room_index, vertex_index, axis, cell_value) replaces a coordinate of
-    tables[owner[e]]. The tables share one SoftParams and each has an
-    applicable term.
+    """Loss of a plan with one vertex coordinate replaced, for a batch of
+    substitutions over several plans: substitution e (room_index,
+    vertex_index, axis, cell_value) replaces a coordinate of
+    tables[owner[e]]. The tables share one SoftParams (ValueError
+    otherwise) and each has an applicable term.
 
     Only the pairs that involve a substitution's room are re-scored: one
     kernel call per vertex-count shape over every substitution of every
-    table, then one combine. Returns (losses (E,), dloss/dvalue (E,)).
+    table, then one combine. Returns (losses (E,), dloss/dvalue (E,)), the
+    derivative taken w.r.t. the substituted cell value.
     """
     params = _shared_params(tables)
     owner = np.asarray(owner, dtype=np.intp)

@@ -46,10 +46,6 @@ class ArgmaxNotCoordinate(ErgoplanError):
     """Most probable token is not a coordinate token."""
 
 
-class NoEligiblePositions(ErgoplanError):
-    """No sequence position qualifies for expected-token substitution."""
-
-
 class NonFiniteLoss(ErgoplanError):
     """Training loss became NaN or infinite."""
 

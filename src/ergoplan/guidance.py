@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ergoloss, tokenizer
-from .errors import ArgmaxNotCoordinate, NoEligiblePositions
+from .errors import ArgmaxNotCoordinate
 
 
 @dataclass(frozen=True)
@@ -102,21 +102,6 @@ def collapse(rows, cfg, workspace=None):
     return v_bar, grad
 
 
-def expected_token(row, cfg):
-    """Continuous expected coordinate in [0, 1): the probability- and
-    Gaussian-weighted mean of coordinate values around the argmax."""
-    return float(collapse(np.asarray(row)[None], cfg)[0][0])
-
-
-@dataclass
-class PositionalLoss:
-    """Mean substituted plan loss and its gradient per eligible row."""
-
-    loss: float
-    grads: np.ndarray  # (E, vocab): d loss / d row, one per eligible position
-    eligible_positions: list  # E of (position, room, vertex, axis)
-
-
 @dataclass
 class BatchPositionalLoss:
     """Expected-token losses of a batch. Per sample: the number of eligible
@@ -132,22 +117,15 @@ class BatchPositionalLoss:
     grads: np.ndarray  # (E, vocab)
 
 
-def _eligible(tokens, rows, vocab, cfg):
+def eligible_positions(tokens, rows, vocab, cfg):
     """(sample, position, room, vertex, axis) arrays of the positions whose
     ground truth is a room vertex coordinate and whose prediction's argmax
-    is a coordinate token."""
+    is a coordinate token. tokens (n, t) holds the ground-truth sequences
+    and rows[i, t] the distribution for token t of sample i."""
     sample, pos, *target = tokenizer.room_coordinates(tokens, vocab)
     keep = pos < rows.shape[1]
     keep[keep] = rows.argmax(axis=-1)[sample[keep], pos[keep]] < cfg.resolution
     return (sample[keep], pos[keep], *(column[keep] for column in target))
-
-
-def eligible_positions(gt_seq, prob_rows, vocab, cfg):
-    """Positions where the ground truth is a room vertex coordinate and the
-    prediction's argmax is a coordinate token."""
-    tokens = np.asarray(gt_seq.tokens, dtype=np.int64).reshape(1, -1)
-    _, *columns = _eligible(tokens, np.asarray(prob_rows)[None], vocab, cfg)
-    return list(zip(*(column.tolist() for column in columns)))
 
 
 def positional_losses(tables, tokens, rows, cfg, workspace=None):
@@ -167,7 +145,7 @@ def positional_losses(tables, tokens, rows, cfg, workspace=None):
     """
     rows = np.asarray(rows, dtype=float)
     scored = np.array([table is not None and table.total is not None for table in tables])
-    sample, *target = _eligible(tokens, rows, tokenizer.Vocabulary(cfg.resolution), cfg)
+    sample, *target = eligible_positions(tokens, rows, tokenizer.Vocabulary(cfg.resolution), cfg)
     keep = scored[sample]
     sample = sample[keep]
     eligible = np.column_stack([column[keep] for column in target]).reshape(-1, 4)
@@ -190,26 +168,6 @@ def positional_losses(tables, tokens, rows, cfg, workspace=None):
     # chain: mean over positions, cell value = v_bar * resolution
     dv_bar *= ((dvalues / counts[sample]) * cfg.resolution)[:, None]
     return BatchPositionalLoss(counts, losses, sample, eligible, picked, dv_bar)
-
-
-def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None):
-    """Teacher-forced ergonomic loss of one sample: positional_losses over
-    a batch of one.
-
-    gt_plan is a FloorPlan, a VertexPlan or an ergoloss.PairTable (built
-    with `params`, when given). Raises NoEligiblePositions when no position
-    qualifies or no loss term applies to the plan.
-    """
-    table = ergoloss.as_pair_table(gt_plan, params)
-    tokens = np.asarray(gt_seq.tokens, dtype=np.int64).reshape(1, -1)
-    result = positional_losses([table], tokens, np.asarray(prob_rows)[None], cfg)
-    if not result.counts[0]:
-        raise NoEligiblePositions("no substitutable coordinate position or no applicable term")
-    return PositionalLoss(
-        loss=float(result.losses[0]),
-        grads=result.grads,
-        eligible_positions=[tuple(row) for row in result.eligible.tolist()],
-    )
 
 
 def alpha(gt_loss, cfg):

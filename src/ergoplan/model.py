@@ -66,10 +66,6 @@ class TrainConfig:
     eps: float = 1e-8
     grad_clip: float = 1.0
     guided: bool = True
-    # mixing weights below this are treated as zero; they only arise as the
-    # softmin residual of plans whose charged rooms share vertices with
-    # their targets (~1e-6), not from any real vertex separation
-    alpha_floor: float = 1e-5
     seed: int = 0
 
 
@@ -731,12 +727,6 @@ class Model:
         rows[1:] = probs[:-1]
         return rows
 
-    def generate(self, prefix_tokens, max_len=None):
-        """Greedy continuation of a token prefix until EOS or the context
-        limit; returns (tokens, truncated_flag)."""
-        out = self.generate_batch([prefix_tokens], max_len=max_len)
-        return out[0]
-
     def generate_batch(self, prefixes, max_len=None):
         """Greedy-decode many prefixes in lockstep: one forward pass over the
         right-padded prefixes fills a per-layer key/value cache, then each
@@ -862,11 +852,17 @@ def _plan_tables(plans, soft_params, cache):
     return [cache[key] for key in keys]
 
 
-def _sample_alpha(table, guidance_cfg, floor=0.0):
+# mixing weights below this are treated as zero; they only arise as the
+# softmin residual of plans whose charged rooms share vertices with their
+# targets (~1e-6), not from any real vertex separation
+ALPHA_FLOOR = 1e-5
+
+
+def _sample_alpha(table, guidance_cfg):
     if table.total is None:
         return 0.0  # no applicable term: fall back to cross-entropy
     value = guidance.alpha(table.total, guidance_cfg)
-    return value if value >= floor else 0.0
+    return value if value >= ALPHA_FLOOR else 0.0
 
 
 # eligible rows per pass of the softmax chain rule's row sums
@@ -936,7 +932,7 @@ def batch_loss_and_grads(
     alphas = np.zeros(b)
     if train_cfg.guided:
         tables = _plan_tables([plan for _, plan in batch], soft_params, alpha_cache)
-        alphas = np.array([_sample_alpha(t, guidance_cfg, train_cfg.alpha_floor) for t in tables])
+        alphas = np.array([_sample_alpha(t, guidance_cfg) for t in tables])
         guided = guidance.positional_losses(
             [table if a > 0.0 else None for table, a in zip(tables, alphas)],
             tokens,

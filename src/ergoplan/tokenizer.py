@@ -230,14 +230,6 @@ def room_coordinates(tokens, vocab):
     return row, pos, room_index, k // 2, k % 2
 
 
-def room_coordinate_positions(seq, vocab):
-    """All positions of room-segment coordinate tokens, with their target:
-    [(position, room_index, vertex_index, axis)] where axis 0 is x, 1 is y."""
-    tokens = np.asarray(seq.tokens, dtype=np.int64).reshape(1, -1)
-    _, *columns = room_coordinates(tokens, vocab)
-    return list(zip(*(column.tolist() for column in columns)))
-
-
 def boundary_door_prefix(seq, vocab):
     """Tokens up to the end of the door segment (BOS, boundary, door); the
     natural conditioning prefix for generation."""

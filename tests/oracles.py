@@ -49,7 +49,6 @@ from ergoplan.errors import (
     DegenerateArea,
     EmptyInput,
     ErgoplanError,
-    NoEligiblePositions,
     NonFiniteLoss,
     NotRectilinear,
     OutOfRange,
@@ -420,17 +419,29 @@ def expected_token_grad(row, cfg):
     return v_bar, grad
 
 
+class _NoEligiblePositions(ErgoplanError):
+    """No sequence position qualifies for expected-token substitution."""
+
+
+def _room_coordinate_positions(seq, vocab):
+    """All positions of room-segment coordinate tokens, with their target:
+    [(position, room_index, vertex_index, axis)] where axis 0 is x, 1 is y."""
+    tokens = np.asarray(seq.tokens, dtype=np.int64).reshape(1, -1)
+    _, *columns = tokenizer.room_coordinates(tokens, vocab)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None):
     """Per-row expected-token substitution; returns (mean loss, {position:
     d loss / d row}, eligible positions)."""
     params = params or SoftParams()
     vocab = tokenizer.Vocabulary(cfg.resolution)
     eligible = []
-    for pos, room_idx, vert_idx, axis in tokenizer.room_coordinate_positions(gt_seq, vocab):
+    for pos, room_idx, vert_idx, axis in _room_coordinate_positions(gt_seq, vocab):
         if pos < len(prob_rows) and int(np.argmax(prob_rows[pos])) < cfg.resolution:
             eligible.append((pos, room_idx, vert_idx, axis))
     if not eligible:
-        raise NoEligiblePositions("no substitutable coordinate positions")
+        raise _NoEligiblePositions("no substitutable coordinate positions")
 
     vplan = VertexPlan.from_plan(gt_plan)
     substitutions = []
@@ -441,7 +452,7 @@ def positional_ergo_loss(gt_plan, gt_seq, prob_rows, cfg, params=None):
         v_grads.append(dv_bar)
     losses, dvalues = substituted_losses(vplan, substitutions, params)
     if losses is None:
-        raise NoEligiblePositions("no applicable loss term for this plan")
+        raise _NoEligiblePositions("no applicable loss term for this plan")
     n = len(eligible)
     row_grads = {}
     for i, (pos, *_rest) in enumerate(eligible):
@@ -480,7 +491,7 @@ def batch_loss_and_grads(batch, params, model_cfg, train_cfg, guidance_cfg=None,
         if train_cfg.guided:
             _, total, _ = evaluate(VertexPlan.from_plan(plan), soft_params)
             a = 0.0 if total is None else guidance.alpha(float(total[0]), guidance_cfg)
-            a = a if a >= train_cfg.alpha_floor else 0.0
+            a = a if a >= model.ALPHA_FLOOR else 0.0
         alphas[i] = a
 
         dce = p.copy()
@@ -492,7 +503,7 @@ def batch_loss_and_grads(batch, params, model_cfg, train_cfg, guidance_cfg=None,
             rows[1 : len(seq)] = probs[i, : len(seq) - 1]
             try:
                 loss_i, row_grads, _ = positional_ergo_loss(plan, seq, rows, guidance_cfg, soft_params)
-            except NoEligiblePositions:
+            except _NoEligiblePositions:
                 alphas[i] = 0.0
                 dlogits[i, pos_idx] = 1.0 / (b * n_valid) * dce
                 continue

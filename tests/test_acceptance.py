@@ -222,9 +222,8 @@ def test_criterion_06_expected_token_cases():
             out[tok] = p
         return out
 
-    v1 = guidance.expected_token(row({100: 1.0}), cfg)
-    v2 = guidance.expected_token(row({99: 0.25, 100: 0.5, 101: 0.25}), cfg)
-    v3 = guidance.expected_token(row({100: 0.6, 101: 0.4}), cfg)
+    rows = [row({100: 1.0}), row({99: 0.25, 100: 0.5, 101: 0.25}), row({100: 0.6, 101: 0.4})]
+    v1, v2, v3 = guidance.collapse(np.array(rows), cfg)[0].tolist()
     w = math.exp(-0.5)
     expected3 = (0.6 * 100 + 0.4 * w * 101) / (0.6 + 0.4 * w) / 256
     errs = (

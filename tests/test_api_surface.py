@@ -2,15 +2,14 @@
 
 A public top-level function or class of `src/ergoplan/*.py`, and every
 public method, must be named somewhere other than its own definition: in
-the package, the demos, the benchmark harness or the README. In Python
-files a name counts where code refers to it, as a name, an attribute or an
-import; comments and strings do not count. Tests are not callers: a name
-that only tests reach is surface to delete, and its tests move onto the
-function the pipeline runs.
+the package, the demos or the benchmark harness. A name counts where code
+refers to it, as a name, an attribute or an import; comments, strings and
+documentation do not count. Tests are not callers: a name that only tests
+reach is surface to delete, and its tests move onto the function the
+pipeline runs.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,7 +17,6 @@ PACKAGE = ROOT / "src" / "ergoplan"
 CALLER_FILES = sorted(
     [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 )
-WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _references(tree):
@@ -49,10 +47,8 @@ def _public_definitions():
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     references = {path: list(_references(ast.parse(path.read_text()))) for path in CALLER_FILES}
-    readme_words = set(WORD.findall((ROOT / "README.md").read_text()))
-
     def named_elsewhere(path, name, node):
-        return name in readme_words or any(
+        return any(
             ref == name and not (caller == path and node.lineno <= line <= node.end_lineno)
             for caller, refs in references.items()
             for ref, line in refs

@@ -391,7 +391,7 @@ def test_cost_and_loss_apply_and_charge_the_same_rule_rooms(seed, skylines):
     plan = random_plan(seed, skylines)
     report = ergocost.ergonomic_cost(plan)
     table = ergoloss.PairTable(plan)
-    assert report.applicable_terms == ergoloss.ergonomic_loss(table).applicable_terms
+    assert report.applicable_terms == ergoloss.ergonomic_loss(plan).applicable_terms
     loss_sides = {
         term: {
             ergocost.CLIENT: set(clients),

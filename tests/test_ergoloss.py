@@ -358,12 +358,21 @@ class TestGradient:
         assert base <= ergoloss.ergonomic_loss(moved, CELLS).total
 
 
+def substituted_losses(plan, substitutions, params):
+    """batch_substituted_losses over one plan's table; (None, None) when no
+    term applies."""
+    table = ergoloss.PairTable(plan, params)
+    if table.total is None:
+        return None, None
+    return ergoloss.batch_substituted_losses([table], [0] * len(substitutions), substitutions)
+
+
 class TestSubstitutedLosses:
     def test_identity_substitution_is_noop(self, spread_plan):
         vplan = VertexPlan.from_plan(spread_plan)
         base = ergoloss.ergonomic_loss(vplan, CELLS).total
         subs = [(0, 0, 0, float(vplan.room_coords[0][0, 0]))]
-        losses, dvals = ergoloss.substituted_losses(vplan, subs, CELLS)
+        losses, dvals = substituted_losses(vplan, subs, CELLS)
         assert losses[0] == pytest.approx(base, abs=1e-12)
         _, grads = ergoloss.ergonomic_loss_grad(vplan, CELLS)
         assert dvals[0] == pytest.approx(grads[0][0, 0], abs=1e-12)
@@ -371,7 +380,7 @@ class TestSubstitutedLosses:
     def test_batch_agrees_with_sequential(self, spread_plan):
         vplan = VertexPlan.from_plan(spread_plan)
         subs = [(1, 0, 0, 20.0), (1, 0, 1, 3.0), (5, 2, 1, 35.5)]
-        losses, dvals = ergoloss.substituted_losses(vplan, subs, CELLS)
+        losses, dvals = substituted_losses(vplan, subs, CELLS)
         for (ri, vi, axis, val), loss, dval in zip(subs, losses, dvals):
             coords = [c.copy() for c in vplan.room_coords]
             coords[ri][vi, axis] = val
@@ -418,7 +427,7 @@ class TestReferenceTerms:
                 [g[0] for g in grads],
             )
             return new, old
-        new_total, new_dvalue = ergoloss.substituted_losses(vplan, variants, params)
+        new_total, new_dvalue = substituted_losses(vplan, variants, params)
         dvalue = None
         if total is not None:
             dvalue = np.array(
@@ -558,7 +567,7 @@ class TestProperties:
             value = data.draw(st.floats(0.0, 64.0))
             substitutions.append((ri, vi, axis, value))
         for params in (SoftParams(), CELLS):
-            losses, dvalues = ergoloss.substituted_losses(vplan, substitutions, params)
+            losses, dvalues = substituted_losses(vplan, substitutions, params)
             ref_losses, ref_dvalues = oracles.substituted_losses(vplan, substitutions, params)
             assert np.array_equal(losses, ref_losses)
             assert np.array_equal(dvalues, ref_dvalues)
@@ -614,7 +623,7 @@ def substitutions_for(plan, draw_int, draw_value, count):
 
 def assert_batch_equals_per_plan(plans, subs_per_plan, params):
     """pair_tables equals PairTable alone, and batch_substituted_losses
-    equals one substituted_losses call per plan, bit for bit."""
+    over several plans equals one call per plan, bit for bit."""
     tables = ergoloss.pair_tables(plans, params)
     for plan, table in zip(plans, tables, strict=True):
         alone = ergoloss.PairTable(plan, params)
@@ -626,7 +635,9 @@ def assert_batch_equals_per_plan(plans, subs_per_plan, params):
     owner = [i for i, (_, subs) in enumerate(scored) for _ in subs]
     flat = [s for _, subs in scored for s in subs]
     losses, dvalues = ergoloss.batch_substituted_losses([t for t, _ in scored], owner, flat)
-    expected = [ergoloss.substituted_losses(t, subs) for t, subs in scored]
+    expected = [
+        ergoloss.batch_substituted_losses([t], [0] * len(subs), subs) for t, subs in scored
+    ]
     assert np.array_equal(losses, np.concatenate([e[0] for e in expected]))
     assert np.array_equal(dvalues, np.concatenate([e[1] for e in expected]))
 
@@ -666,13 +677,20 @@ class TestBatch:
                 ]
                 assert_batch_equals_per_plan(plans, subs, SoftParams())
                 assert_batch_equals_per_plan(plans[::-1], [subs[1], subs[0][:1]], CELLS)
-                # the table and a lone substitution against the oracle, whose
-                # client means share the table's pairwise sums
+                # the table, its gradient and a lone substitution against the
+                # oracle, whose client means and softmin rows sum pairwise
                 vplan = VertexPlan.from_plan(plans[0])
                 values, total, _ = oracles.evaluate(vplan, SoftParams())
                 table = ergoloss.PairTable(vplan, SoftParams())
                 assert table.total == total[0]
                 assert all(table.values[t] == (v if v is None else v[0]) for t, v in values.items())
-                TestReferenceTerms.assert_close(
-                    *TestReferenceTerms.evaluate_both(vplan, SoftParams(), subs[0]), atol=0.0
-                )
+                for variants in (None, subs[0]):
+                    TestReferenceTerms.assert_close(
+                        *TestReferenceTerms.evaluate_both(vplan, SoftParams(), variants), atol=0.0
+                    )
+
+    def test_tables_with_different_params_rejected(self, spread_plan):
+        # a batch's tables must share one SoftParams
+        tables = [ergoloss.PairTable(spread_plan, params) for params in (SoftParams(), CELLS)]
+        with pytest.raises(ValueError, match="different soft parameters"):
+            ergoloss.batch_substituted_losses(tables, [0, 1], [(0, 0, 0, 1.0), (1, 0, 0, 1.0)])

@@ -8,14 +8,19 @@ from conftest import make_plan, rect
 
 from ergoplan import ergoloss, guidance, model, tokenizer
 from ergoplan.dataset import SynthConfig, synth_plan
-from ergoplan.errors import ArgmaxNotCoordinate, NoEligiblePositions
+from ergoplan.errors import ArgmaxNotCoordinate
 from ergoplan.ergoloss import SoftParams
-from ergoplan.guidance import GuidanceConfig, alpha, expected_token
+from ergoplan.guidance import GuidanceConfig, alpha
 from ergoplan.plan import RoomType
 
 V = tokenizer.Vocabulary(256)
 CFG = GuidanceConfig(resolution=256)
 CELLS = SoftParams(meters_per_cell=1.0)
+
+
+def expected_token(row, cfg):
+    """The expected coordinate of one probability row."""
+    return float(guidance.collapse(np.asarray(row)[None], cfg)[0][0])
 
 
 def row_with(probs):
@@ -124,24 +129,25 @@ class TestCollapse:
             # a few rows with a non-coordinate argmax are skipped by both
             rows[rng.integers(len(seq), size=3)] = row_with({V.eos: 1.0})
             for params in (SoftParams(), CELLS):
-                table = ergoloss.PairTable(plan, params)
-                for gt in (plan, table):
-                    result = guidance.positional_ergo_loss(gt, seq, rows, CFG, params)
-                    loss, row_grads, eligible = oracles.positional_ergo_loss(
-                        plan, seq, rows, CFG, params
-                    )
-                    assert result.loss == loss
-                    assert result.eligible_positions == eligible
-                    assert [pos for pos, *_ in result.eligible_positions] == list(row_grads)
-                    for g, ref_g in zip(result.grads, row_grads.values(), strict=True):
-                        assert np.array_equal(g, ref_g)
+                result = positional_loss(plan, seq, rows, params)
+                loss, row_grads, eligible = oracles.positional_ergo_loss(
+                    plan, seq, rows, CFG, params
+                )
+                assert result.losses[0] == loss
+                assert [tuple(e) for e in result.eligible.tolist()] == eligible
+                assert result.eligible[:, 0].tolist() == list(row_grads)
+                for g, ref_g in zip(result.grads, row_grads.values(), strict=True):
+                    assert np.array_equal(g, ref_g)
 
     def test_table_with_other_params_rejected(self):
+        # a batch's tables must share one SoftParams
         plan = plan_with_rooms()
         seq = tokenizer.encode(plan, V)
-        table = ergoloss.PairTable(plan, SoftParams())
-        with pytest.raises(ValueError):
-            guidance.positional_ergo_loss(table, seq, one_hot_rows(seq), CFG, CELLS)
+        tables = [ergoloss.PairTable(plan, SoftParams()), ergoloss.PairTable(plan, CELLS)]
+        tokens = np.array([seq.tokens] * 2)
+        rows = np.stack([one_hot_rows(seq)] * 2)
+        with pytest.raises(ValueError, match="different soft parameters"):
+            guidance.positional_losses(tables, tokens, rows, CFG)
 
 
 def plan_with_rooms():
@@ -162,55 +168,68 @@ def one_hot_rows(seq):
     return rows
 
 
+def positional_loss(plan, seq, rows, params=CELLS):
+    """positional_losses over a batch of one sample."""
+    tokens = np.array(seq.tokens).reshape(1, -1)
+    return guidance.positional_losses([ergoloss.PairTable(plan, params)], tokens, rows[None], CFG)
+
+
+def room_positions(seq):
+    """The positions of the room-vertex coordinate tokens of one sequence."""
+    return tokenizer.room_coordinates(np.array(seq.tokens).reshape(1, -1), V)[1].tolist()
+
+
 class TestPositionalLoss:
     def test_one_hot_prediction_recovers_gt_loss(self):
         plan = plan_with_rooms()
         seq = tokenizer.encode(plan, V)
-        result = guidance.positional_ergo_loss(plan, seq, one_hot_rows(seq), CFG, CELLS)
+        result = positional_loss(plan, seq, one_hot_rows(seq))
         gt = ergoloss.ergonomic_loss(plan, CELLS).total
-        assert result.loss == pytest.approx(gt, abs=1e-9)
-        assert len(result.eligible_positions) == 3 * 4 * 2
+        assert result.losses[0] == pytest.approx(gt, abs=1e-9)
+        assert result.counts.tolist() == [3 * 4 * 2]
+        assert len(result.eligible) == len(result.grads) == 3 * 4 * 2
 
-    def test_no_rooms_raises(self):
+    @staticmethod
+    def assert_scores_nothing(result):
+        assert result.counts.tolist() == [0] and np.isnan(result.losses[0])
+        assert result.eligible.shape == (0, 4) and result.grads.shape == (0, V.size)
+
+    def test_no_rooms_scores_nothing(self):
         plan = make_plan(rect(0, 0, 32, 32), ((0, 4), (0, 8)), [])
         seq = tokenizer.encode(plan, V)
-        with pytest.raises(NoEligiblePositions):
-            guidance.positional_ergo_loss(plan, seq, one_hot_rows(seq), CFG, CELLS)
+        self.assert_scores_nothing(positional_loss(plan, seq, one_hot_rows(seq)))
 
-    def test_no_applicable_terms_raises(self):
+    def test_no_applicable_terms_scores_nothing(self):
         plan = make_plan(
             rect(0, 0, 32, 32), ((0, 4), (0, 8)), [(RoomType.Storage, rect(0, 0, 8, 8))]
         )
         seq = tokenizer.encode(plan, V)
-        with pytest.raises(NoEligiblePositions):
-            guidance.positional_ergo_loss(plan, seq, one_hot_rows(seq), CFG, CELLS)
+        self.assert_scores_nothing(positional_loss(plan, seq, one_hot_rows(seq)))
 
     def test_non_coordinate_argmax_positions_skipped(self):
         plan = plan_with_rooms()
         seq = tokenizer.encode(plan, V)
         rows = one_hot_rows(seq)
-        positions = tokenizer.room_coordinate_positions(seq, V)
-        skipped = positions[0][0]
+        positions = room_positions(seq)
+        skipped = positions[0]
         rows[skipped] = 0.0
         rows[skipped, V.eos] = 1.0
-        result = guidance.positional_ergo_loss(plan, seq, rows, CFG, CELLS)
-        assert len(result.eligible_positions) == len(positions) - 1
-        assert skipped not in [pos for pos, *_ in result.eligible_positions]
+        result = positional_loss(plan, seq, rows)
+        assert result.eligible[:, 0].tolist() == positions[1:]
 
     def test_row_grad_matches_renormalized_fd(self, rng):
         plan = plan_with_rooms()
         seq = tokenizer.encode(plan, V)
         rows = one_hot_rows(seq)
         # soften one row so the expectation has real spread
-        positions = tokenizer.room_coordinate_positions(seq, V)
-        pos = positions[5][0]
+        pos = room_positions(seq)[5]
         gt_token = seq.tokens[pos]
         rows[pos] = 0.0
         rows[pos, gt_token] = 0.55
         rows[pos, gt_token + 1] = 0.3
         rows[pos, gt_token - 1] = 0.15
-        result = guidance.positional_ergo_loss(plan, seq, rows, CFG, CELLS)
-        g = result.grads[[p for p, *_ in result.eligible_positions].index(pos)]
+        result = positional_loss(plan, seq, rows)
+        g = result.grads[result.eligible[:, 0].tolist().index(pos)]
         h = 1e-6
         for j in (gt_token - 1, gt_token, gt_token + 1):
             plus, minus = rows.copy(), rows.copy()
@@ -218,8 +237,8 @@ class TestPositionalLoss:
             minus[pos, j] -= h
             plus[pos] /= plus[pos].sum()
             minus[pos] /= minus[pos].sum()
-            lp = guidance.positional_ergo_loss(plan, seq, plus, CFG, CELLS).loss
-            lm = guidance.positional_ergo_loss(plan, seq, minus, CFG, CELLS).loss
+            lp = positional_loss(plan, seq, plus).losses[0]
+            lm = positional_loss(plan, seq, minus).losses[0]
             fd = (lp - lm) / (2 * h)
             projected = g[j] - float(g @ rows[pos])
             assert fd == pytest.approx(projected, rel=1e-4, abs=1e-10)

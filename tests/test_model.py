@@ -12,7 +12,7 @@ from conftest import make_plan, rect
 
 from ergoplan import dataset, ergoloss, guidance, metrics, model, tokenizer
 from ergoplan.dataset import SynthConfig, synth_plan
-from ergoplan.errors import ContextOverflow, EmptyInput, NoEligiblePositions, OutOfRange
+from ergoplan.errors import ContextOverflow, EmptyInput, OutOfRange
 from ergoplan.model import Model, ModelConfig, TrainConfig
 from ergoplan.plan import RoomType
 
@@ -523,10 +523,12 @@ class TestGuidedBatch:
         seq, plan = batch[-1]
         tokens, xy, vert = model._pad_batch([(seq, plan)], V, RECIPE.max_vertex_index)
         logits = model.forward_logits(params, RECIPE, tokens, xy, vert)[0, :-1]
-        rows = np.zeros((len(seq), V.size))
-        rows[1:] = model._softmax(logits.astype(np.float64))
-        with pytest.raises(NoEligiblePositions):
-            guidance.positional_ergo_loss(plan, seq, rows, self.GUIDANCE)
+        rows = np.zeros((1, len(seq), V.size))
+        rows[0, 1:] = model._softmax(logits.astype(np.float64))
+        table = ergoloss.PairTable(plan)
+        assert table.total is not None
+        guided = guidance.positional_losses([table], tokens, rows, self.GUIDANCE)
+        assert guided.counts.tolist() == [0]
 
         loss, grads = model.batch_loss_and_grads(batch, params, RECIPE, tcfg, self.GUIDANCE)
         ref_loss, ref_grads = oracles.batch_loss_and_grads(
@@ -729,7 +731,7 @@ class TestTraining:
                 samples, ModelConfig(**{**vars(micro), "seed": seed}), cfg
             )
             net = Model(ModelConfig(**{**vars(micro), "seed": seed}), state.params)
-            out, _ = net.generate((V.bos,), max_len=4)
+            out, _ = net.generate_batch([(V.bos,)], max_len=4)[0]
             hits += out[1] == V.boundary_token
         assert hits / n_seeds >= 0.95
 
@@ -740,7 +742,7 @@ class TestGenerate:
         net = Model(SMALL, state.params)
         seq, _ = samples[0]
         prefix = seq.tokens[:-1]
-        out, truncated = net.generate(prefix)
+        out, truncated = net.generate_batch([prefix])[0]
         assert not truncated
         assert out[-1] == V.eos
 
@@ -750,19 +752,19 @@ class TestGenerate:
         hits = 0
         for seq, _ in samples[:10]:
             prefix = tokenizer.boundary_door_prefix(seq, V)
-            out, _ = net.generate(prefix)
+            out, _ = net.generate_batch([prefix])[0]
             hits += out == seq.tokens
         assert hits >= 8  # memorization: nearly all continuations exact
 
     def test_from_scratch_starts_with_boundary_token(self, memorized):
         state, _, _ = memorized
         net = Model(SMALL, state.params)
-        out, _ = net.generate((V.bos,))
+        out, _ = net.generate_batch([(V.bos,)])[0]
         assert out[1] == V.boundary_token
 
     def test_context_exhaustion_flagged(self):
         net = Model(ModelConfig(layers=1, heads=1, embed_dim=16, context_len=24, seed=2))
-        out, truncated = net.generate((V.bos,))
+        out, truncated = net.generate_batch([(V.bos,)])[0]
         if truncated:
             assert len(out) == 24
         else:
@@ -822,17 +824,17 @@ class TestGenerate:
     def test_empty_prefix_raises(self):
         net = Model(MICRO)
         with pytest.raises(EmptyInput):
-            net.generate(())
+            net.generate_batch([()])
         with pytest.raises(EmptyInput):
             net.generate_batch([(V.bos,), ()])
 
     def test_prefix_longer_than_max_len_raises(self):
         net = Model(MICRO)
         with pytest.raises(ContextOverflow):
-            net.generate((V.bos,), max_len=0)
+            net.generate_batch([(V.bos,)], max_len=0)
         with pytest.raises(ContextOverflow):
             net.generate_batch([(V.bos,), (V.bos, V.boundary_token)], max_len=1)
-        out, truncated = net.generate((V.bos,), max_len=3)
+        out, truncated = net.generate_batch([(V.bos,)], max_len=3)[0]
         assert len(out) <= 3 and (truncated or out[-1] == V.eos)
 
     def test_batch_generation_matches_single(self, memorized):
@@ -841,5 +843,5 @@ class TestGenerate:
         prefixes = [tokenizer.boundary_door_prefix(s, V) for s, _ in samples[:4]]
         batch_out = net.generate_batch(prefixes)
         for prefix, (toks, truncated) in zip(prefixes, batch_out):
-            single = net.generate(prefix)
+            single = net.generate_batch([prefix])[0]
             assert single == (toks, truncated)

@@ -7,7 +7,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ergoplan import dataset, model, render, tokenizer
+from conftest import make_plan, rect
+
+from ergoplan import dataset, guidance, model, render, tokenizer
 from ergoplan.cli import main
 from ergoplan.ergocost import TERMS
 from ergoplan.plan import RoomType, deserialize_plan, serialize_plan
@@ -189,6 +191,42 @@ class TestCli:
         assert payload["alpha"] is not None
         assert len(payload["eligible"]) == 6 * 4 * 2
         assert all(e["axis"] in "xy" for e in payload["eligible"])
+
+    def test_guidance_check_with_checkpoint(self, plan_file, tmp_path, capsys):
+        # the eligible rows and their expected coordinates come from the
+        # model's probability rows: room-vertex coordinates whose argmax is
+        # a coordinate token
+        cfg = model.ModelConfig(layers=1, heads=2, embed_dim=8, context_len=80, seed=5)
+        ckpt = tmp_path / "m.npz"
+        model.save_checkpoint(ckpt, model.init_train_state(cfg, model.TrainConfig()), cfg)
+        norule = tmp_path / "norule.json"
+        rooms = [(RoomType.Storage, rect(0, 0, 8, 8))]
+        norule.write_text(serialize_plan(make_plan(rect(0, 0, 40, 40), ((0, 2), (0, 6)), rooms)))
+        net = model.Model(cfg, model.load_checkpoint(ckpt)[0].params)
+        gcfg = guidance.GuidanceConfig()
+        skipped = []
+        for path in (plan_file, norule):
+            assert main(["guidance-check", str(path), "--checkpoint", str(ckpt)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            seq = tokenizer.encode(deserialize_plan(path.read_text()), V)
+            rows = net.prob_rows(seq)
+            _, pos, room, vertex, axis = tokenizer.room_coordinates(np.array([seq.tokens]), V)
+            keep = rows[pos].argmax(axis=1) < V.resolution
+            skipped.append(len(pos) - keep.sum())
+            v_bar, _ = guidance.collapse(rows[pos[keep]], gcfg)
+            expected = [
+                {"position": p, "room": r, "vertex": v, "axis": "xy"[a], "v_bar": value}
+                for p, r, v, a, value in zip(
+                    *(column[keep].tolist() for column in (pos, room, vertex, axis)),
+                    v_bar.tolist(),
+                )
+            ]
+            cell_values = [e.pop("cell_value") for e in payload["eligible"]]
+            assert payload["eligible"] == expected
+            assert cell_values == [e["v_bar"] * 256 for e in expected]
+        assert skipped[0] > 0 and payload["eligible"]
+        # a plan that no rule applies to still lists its eligible positions
+        assert payload["ground_truth_loss"] is None and payload["alpha"] is None
 
     def test_compare_reports(self, corpus_dir, tmp_path, capsys):
         report_file = tmp_path / "r.json"

@@ -190,10 +190,16 @@ def test_decode_same_as_earlier_decoder(seed, stream):
         assert typed(rebuilt) == typed(plan)
 
 
+def room_coordinate_positions(seq):
+    """room_coordinates of one sequence, as lists (row, position, room,
+    vertex, axis)."""
+    return [column.tolist() for column in tokenizer.room_coordinates(np.array([seq.tokens]), V)]
+
+
 def test_room_vertex_coordinate_classification(tiling_plan):
     seq = encode(tiling_plan, V)
     toks = seq.tokens
-    room_coords = {pos for pos, *_ in tokenizer.room_coordinate_positions(seq, V)}
+    room_coords = set(room_coordinate_positions(seq)[1])
     # boundary coordinate
     assert 2 not in room_coords
     # door coordinate
@@ -211,10 +217,10 @@ def test_room_vertex_coordinate_classification(tiling_plan):
 
 def test_room_coordinate_positions_cover_all_rooms(spread_plan):
     seq = encode(spread_plan, V)
-    positions = tokenizer.room_coordinate_positions(seq, V)
+    rows, *positions = room_coordinate_positions(seq)
     # 6 rectangle rooms, 4 vertices, 2 coordinates each
-    assert len(positions) == 6 * 4 * 2
-    for pos, room_idx, vert_idx, axis in positions:
+    assert rows == [0] * (6 * 4 * 2)
+    for pos, room_idx, vert_idx, axis in zip(*positions, strict=True):
         token = seq.tokens[pos]
         expected = spread_plan.rooms[room_idx].vertices[vert_idx][axis]
         assert token == expected
