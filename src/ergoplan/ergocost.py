@@ -13,7 +13,7 @@ desired adjacency is satisfied exactly.
 import json
 from dataclasses import dataclass
 
-from .geometry import Outline, min_distance
+from .geometry import Outline, _box_gap, _factor, min_distance
 from .plan import RoomType, ScaleConfig
 
 KITCHEN_CLIENTS = (RoomType.Entrance, RoomType.DiningRoom)
@@ -81,7 +81,9 @@ class ErgoReport:
 def _distance_memo(shapes, scale=None):
     """distance(i, j): min_distance between shapes[i] and shapes[j],
     computed at most once per unordered pair (min_distance is symmetric),
-    from outlines built at most once per shape."""
+    from outlines built at most once per shape. Two single boxes are
+    measured here, as min_distance would measure them."""
+    factor = _factor(scale)
     outlines = {}
     memo = {}
 
@@ -93,7 +95,11 @@ def _distance_memo(shapes, scale=None):
     def distance(i, j):
         key = (i, j) if i <= j else (j, i)
         if key not in memo:
-            memo[key] = min_distance(shape(i), shape(j), scale)
+            a, b = shape(i), shape(j)
+            if a.box is not None and b.box is not None:
+                memo[key] = _box_gap(a.box, b.box) * factor
+            else:
+                memo[key] = min_distance(a, b, factor)
         return memo[key]
 
     return distance

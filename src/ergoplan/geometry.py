@@ -80,9 +80,14 @@ def normalize_loop(loop):
     dropping one merges two edges of the same direction, so no other
     vertex's turn changes. A 180-degree reversal is a spur and raises at the
     first such vertex. Two closed axis-aligned edges meet exactly when their
-    boxes overlap, which decides simplicity.
+    boxes overlap, which decides simplicity. A rectangle with non-zero width
+    and height skips the sweep: its box gives the canonical corners.
     """
     pts = _loop(loop)
+    box = _rectangle(pts)
+    if box is not None and box[0] != box[2] and box[1] != box[3]:
+        x0, y0, x1, y1 = box
+        return _IntLoop(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
     # drop consecutive duplicates (including the wraparound)
     dedup = [p for p, q in zip(pts, (None, *pts)) if p != q]
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
@@ -333,8 +338,13 @@ def min_distance(a, b, scale=None):
         best = _box_gap(a.box, b.box)
     else:
         best = _edge_distance(a.edges, b.edges)
+    return best * _factor(scale)
+
+
+def _factor(scale):
+    """Meters per cell of a ScaleConfig or bare factor, as a float; 1.0 for None."""
     factor = getattr(scale, "meters_per_cell", scale)
-    return best * float(1.0 if factor is None else factor)
+    return float(1.0 if factor is None else factor)
 
 
 def _edge_distance(edges_a, edges_b):

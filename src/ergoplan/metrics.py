@@ -11,6 +11,7 @@ applies.
 
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -150,8 +151,11 @@ def evaluate(sequences, cfg=None, threads=1):
     """EvalReport over raw token sequences (lists of ids or TokenSequences).
 
     threads > 1 evaluates fixed chunks in a process pool and merges in chunk
-    order, so results are identical to a serial run.
+    order, so results are identical to a serial run. The pool starts no more
+    workers than there are chunks or usable CPUs; threads < 1 is a ValueError.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     cfg = cfg or EvalConfig()
     sequences = list(sequences)  # decode converts each sequence's tokens
     n = len(sequences)
@@ -160,7 +164,9 @@ def evaluate(sequences, cfg=None, threads=1):
 
         chunk = (n + threads - 1) // threads
         parts = [sequences[i : i + chunk] for i in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a forked pool starts all its workers on the first submit
+        workers = min(len(parts), len(os.sched_getaffinity(0)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(_tally, parts, [cfg] * len(parts)))
     else:
         tallies = [_tally(sequences, cfg)]

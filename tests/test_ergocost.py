@@ -375,6 +375,36 @@ def test_reports_same_as_with_raw_shape_distances(seed, skylines):
         assert ergocost.ergonomic_cost(plan, scale) == earlier_cost(plan, scale)
 
 
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_distance_memo_is_min_distance_bit_for_bit(seed):
+    """Each memo distance equals min_distance between the raw shapes and the
+    earlier raw-shape memo's distance, bit for bit: rectangle loops from any
+    start in either orientation, skylines, and doors that are axis-aligned,
+    diagonal or zero-length, with no scale (as the synthesizer calls it), a
+    bare factor and a ScaleConfig."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for _ in range(4):
+        x0, y0 = (int(v) for v in rng.integers(0, 30, 2))
+        loop = rect(x0, y0, x0 + int(rng.integers(1, 10)), y0 + int(rng.integers(1, 10)))
+        k = int(rng.integers(4))
+        loop = loop[k:] + loop[:k]
+        shapes.append(loop[::-1] if rng.random() < 0.5 else loop)
+        base = (int(v) for v in rng.integers(0, 30, 2))
+        shapes.append(histogram_polygon(rng, columns=int(rng.integers(1, 4)), base=tuple(base)))
+    x, y = (int(v) for v in rng.integers(0, 30, 2))
+    dx, dy = (int(v) for v in rng.integers(1, 8, 2))
+    shapes += [DoorSegment((x, y), end) for end in ((x + dx, y), (x, y + dy), (x + dx, y + dy), (x, y))]
+    for scale in (None, 0.3, ScaleConfig()):
+        distance = ergocost._distance_memo(shapes, scale)
+        earlier = oracles._distance_memo(shapes, scale)
+        for i in range(len(shapes)):
+            for j in range(len(shapes)):
+                expected = min_distance(shapes[i], shapes[j], scale).hex()
+                assert distance(i, j).hex() == expected == earlier(i, j).hex()
+
+
 def test_synthesis_same_as_with_raw_shape_distances():
     cfg = SynthConfig(de_ergonomize_fraction=0.5)
     plans = [synth_plan(seed, cfg) for seed in range(60)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -194,6 +195,21 @@ class TestNormalize:
                 got = geometry.signed_area2(form)
                 assert type(got) is int and got == area
                 assert same_bits(geometry.min_distance(form, other), distance)
+
+    def test_every_four_vertex_loop_on_a_small_lattice(self):
+        """All 65,536 four-vertex loops with coordinates in 0..3 (duplicates,
+        flat and diagonal loops, both orientations, every start) normalize
+        and split as the earlier restart loop does. A loop that normalizes
+        to 4 corners is a rectangle whose Outline box is that loop's box, so
+        the rectangle path covers exactly those."""
+        points = list(itertools.product(range(4), repeat=2))
+        for loop in itertools.product(points, repeat=4):
+            got = outcome(geometry.normalize_loop, loop)
+            assert got == outcome(oracles.normalize_loop, loop)
+            assert outcome(geometry.rect_decompose, loop) == outcome(oracles.rect_decompose, loop)
+            if not isinstance(got[0], type):
+                (x0, y0), _, (x1, y1), _ = got
+                assert geometry.Outline(loop).box == (x0, y0, x1, y1)
 
     def test_cases_reach_every_outcome(self):
         outcomes = [

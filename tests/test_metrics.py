@@ -127,6 +127,46 @@ def test_threads_give_identical_report():
     assert serial == parallel
 
 
+@pytest.mark.parametrize(
+    "n, threads, cpus, workers",
+    [(2, 1000, 2, 2), (2, 1000, 1, 1), (16, 4, 8, 4), (16, 1000, 3, 3), (5, 4, 8, 3)],
+)
+def test_pool_is_capped_at_chunks_and_cpus(n, threads, cpus, workers, monkeypatch):
+    """The pool starts min(threads, chunks, usable CPUs) workers (5
+    sequences in 4 threads' chunks of 2 are 3 chunks), and the report is the
+    serial one. A stand-in pool records max_workers and maps in this
+    process."""
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    _, seqs = encoded_corpus(n=n, seed=5)
+    serial = evaluate(seqs, CFG)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert evaluate(seqs, CFG, threads=threads) == serial
+    assert started == [workers]
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_fewer_than_one_thread_is_rejected(threads):
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        evaluate([], CFG, threads=threads)
+
+
 def test_compare_identical_reports_zero_delta():
     _, seqs = encoded_corpus(n=8, seed=6)
     report = evaluate(seqs, CFG)

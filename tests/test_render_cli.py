@@ -111,6 +111,7 @@ class TestCli:
                 ["train", "--corpus", "{corpus}", "--out", "{out}", "--heads", "3", "--embed-dim", "8"],
                 "embed_dim must be divisible by heads",
             ),
+            (["--threads", "0", "eval", "--corpus", "{corpus}"], "threads must be at least 1, got 0"),
         ],
     )
     def test_rejected_config_value_is_a_usage_error(
