@@ -55,8 +55,8 @@ def split(corpus, fractions=(0.9, 0.05, 0.05), seed=0):
     across machines and independent of file enumeration order; counts are
     exact (floor for train and val, remainder test).
     """
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must be three values summing to 1")
+    if len(fractions) != 3 or min(fractions) < 0 or not abs(sum(fractions) - 1.0) <= 1e-9:
+        raise ValueError("fractions must be three non-negative values summing to 1")
     ordered = sorted(
         corpus.ids,
         key=lambda i: hashlib.sha256(f"{seed}:{i}".encode()).hexdigest(),
@@ -198,16 +198,19 @@ class SynthConfig:
     boundary_min_steps: int = 10  # boundary side lengths, in lattice steps
     boundary_max_steps: int = 14
     min_room_steps: int = 2
-    p_kitchen: float = 1.0
-    p_dining: float = 0.5
-    p_bathroom: float = 1.0
-    p_balcony: float = 0.5
     de_ergonomize_fraction: float = 0.0
 
     def __post_init__(self):
         if self.lattice_step * (self.boundary_max_steps + 1) > self.resolution:
             raise ValueError("boundary does not fit the grid")
 
+
+# chance that a synthetic plan has each room; every plan draws all four
+# numbers, even for a certain room, so the random stream's layout is fixed
+P_KITCHEN = 1.0
+P_BATHROOM = 1.0
+P_DINING = 0.5
+P_BALCONY = 0.5
 
 # every filler is a preferred balcony neighbor, so balconies placed next to
 # fillers carry no charge in the ergonomic corpus; kitchens and dining rooms
@@ -316,17 +319,17 @@ def synth_plan(seed, cfg=None):
     # goes to the far side where its neighbors are filler rooms (all of
     # which are preferred balcony neighbors)
     kitchen_idx = bathroom_idx = None
-    if rng.random() < cfg.p_kitchen and remaining:
+    if rng.random() < P_KITCHEN and remaining:
         kitchen_idx = take_nearest(entrance_idx)
         kinds[kitchen_idx] = RoomType.Kitchen
-    if rng.random() < cfg.p_bathroom and remaining:
+    if rng.random() < P_BATHROOM and remaining:
         bathroom_idx = take_nearest(entrance_idx)
         kinds[bathroom_idx] = RoomType.Bathroom
-    if rng.random() < cfg.p_dining and remaining:
+    if rng.random() < P_DINING and remaining:
         kinds[take_nearest(kitchen_idx if kitchen_idx is not None else entrance_idx)] = (
             RoomType.DiningRoom
         )
-    if rng.random() < cfg.p_balcony and remaining:
+    if rng.random() < P_BALCONY and remaining:
         kinds[take_farthest(entrance_idx)] = RoomType.Balcony
     for i in remaining:
         kinds[i] = _FILLER_TYPES[int(rng.integers(len(_FILLER_TYPES)))]

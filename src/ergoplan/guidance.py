@@ -22,35 +22,25 @@ from .errors import ArgmaxNotCoordinate
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    """Expected-token window, loss mixing scale, and grid resolution.
-
-    sigma is the Gaussian window width in normalized [0, 1) coordinate
-    units (defaults to one quantization step, 1/resolution). gamma converts
-    a ground-truth plan loss into the mixing weight alpha.
-    """
+    """Grid resolution and loss mixing scale: gamma converts a ground-truth
+    plan loss into the mixing weight alpha."""
 
     resolution: int = 256
-    sigma: float | None = None
     gamma: float = 30.0
 
     def __post_init__(self):
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
-    @property
-    def effective_sigma(self):
-        return self.sigma if self.sigma is not None else 1.0 / self.resolution
-
 
 @functools.cache
-def _gaussian_windows(cfg):
+def _gaussian_windows(resolution):
     """Read-only (resolution, resolution) table: row c is the Gaussian
-    window over coordinate ids centred on id c."""
-    values = np.arange(cfg.resolution) / cfg.resolution
+    window over coordinate ids centred on id c, one grid step wide (sigma
+    is 1/resolution in normalized [0, 1) coordinate units)."""
+    values = np.arange(resolution) / resolution
     center = values[:, None]
-    weights = np.exp(-0.5 * ((values - center) / cfg.effective_sigma) ** 2)
+    weights = np.exp(-0.5 * ((values - center) / (1.0 / resolution)) ** 2)
     weights.flags.writeable = False
     return weights
 
@@ -83,7 +73,7 @@ def collapse(rows, cfg, workspace=None):
         bad = int(top[top >= cfg.resolution][0])
         raise ArgmaxNotCoordinate(f"argmax id {bad} is not a coordinate token")
     values = np.arange(cfg.resolution) / cfg.resolution
-    windows = _gaussian_windows(cfg)
+    windows = _gaussian_windows(cfg.resolution)
     grad = _take(workspace, "collapse.grad", rows.shape)
     grad[:, cfg.resolution :] = 0.0
     v_bar = np.empty(len(rows))

@@ -31,6 +31,12 @@ from .errors import (
 CHECKPOINT_VERSION = 1
 
 
+def _require_positive(cfg, *names):
+    for name in names:
+        if not getattr(cfg, name) > 0:
+            raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     layers: int = 4
@@ -43,6 +49,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        _require_positive(self, "layers", "heads", "embed_dim", "context_len")
         if self.embed_dim % self.heads != 0:
             raise ValueError("embed_dim must be divisible by heads")
 
@@ -51,22 +58,30 @@ class ModelConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
+# the optimizer is decoupled-weight-decay Adam (AdamW) with a linear warmup
+# of the learning rate; decay applies to matrix-shaped parameters, and the
+# gradient's global norm is clipped before the update
+WARMUP_STEPS = 100
+WEIGHT_DECAY = 0.01
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+GRAD_CLIP = 1.0
+
+
 @dataclass
 class TrainConfig:
-    """Optimizer and loop settings. The optimizer is decoupled-weight-decay
-    Adam with linear warmup; decay applies to matrix-shaped parameters."""
+    """Training-loop settings; the optimizer's are the constants above."""
 
     steps: int = 1000
     batch_size: int = 16
     lr: float = 3e-4
-    warmup_steps: int = 100
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float = 1.0
     guided: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        _require_positive(self, "batch_size", "lr")
+        if self.steps < 0:
+            raise ValueError("steps must be non-negative")
 
 
 def init_params(cfg):
@@ -1019,36 +1034,35 @@ def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_param
             f"non-finite gradient at step {state.step + 1}",
             diagnostics={"loss": loss.to_dict(), "grad_norm": gnorm},
         )
-    if train_cfg.grad_clip and gnorm > train_cfg.grad_clip:
-        scale = train_cfg.grad_clip / gnorm
+    if gnorm > GRAD_CLIP:
+        scale = GRAD_CLIP / gnorm
         for g in grads.values():
             g *= scale
 
     state.step += 1
-    lr = train_cfg.lr * min(1.0, state.step / max(1, train_cfg.warmup_steps))
-    b1, b2 = train_cfg.beta1, train_cfg.beta2
-    bias1 = 1.0 - b1**state.step
-    bias2 = 1.0 - b2**state.step
+    lr = train_cfg.lr * min(1.0, state.step / WARMUP_STEPS)
+    bias1 = 1.0 - BETA1**state.step
+    bias2 = 1.0 - BETA2**state.step
     for name, p in state.params.items():
         # g is spent once m and v hold it, so it becomes the update; scratch
         # holds each other operand in turn
         g = grads[name]
         m = state.adam_m[name]
         v = state.adam_v[name]
-        scratch = np.multiply(g, 1 - b1, out=ws.take("adam", g.shape, g.dtype))
-        m *= b1
+        scratch = np.multiply(g, 1 - BETA1, out=ws.take("adam", g.shape, g.dtype))
+        m *= BETA1
         m += scratch
-        np.multiply(g, 1 - b2, out=scratch)
+        np.multiply(g, 1 - BETA2, out=scratch)
         scratch *= g
-        v *= b2
+        v *= BETA2
         v += scratch
         np.divide(v, bias2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += train_cfg.eps
+        scratch += EPS
         update = np.divide(m, bias1, out=g)
         update /= scratch
-        if train_cfg.weight_decay and p.ndim >= 2:
-            update += np.multiply(p, train_cfg.weight_decay, out=scratch)
+        if p.ndim >= 2:
+            update += np.multiply(p, WEIGHT_DECAY, out=scratch)
         update *= lr
         p -= update
 

@@ -1,7 +1,5 @@
 """SVG rendering of floor plans for visual inspection."""
 
-from dataclasses import dataclass, field
-
 from .plan import RoomType
 
 DEFAULT_COLORS = {
@@ -20,19 +18,10 @@ DEFAULT_COLORS = {
     RoomType.WallIn: "#CFEBC7",
 }
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    colors: dict = field(default_factory=lambda: dict(DEFAULT_COLORS))
-    stroke: str = "#333333"
-    stroke_width: float = 1.0
-    door_color: str = "#CC3333"
-    door_width: float = 3.0
-
-    def __post_init__(self):
-        missing = [k.name for k in RoomType if k not in self.colors]
-        if missing:
-            raise ValueError(f"render style misses colors for {missing}")
+STROKE = "#333333"
+STROKE_WIDTH = 1.0  # rooms; the boundary is drawn twice as wide
+DOOR_COLOR = "#CC3333"
+DOOR_WIDTH = 3.0
 
 
 def _path_d(vertices):
@@ -41,11 +30,10 @@ def _path_d(vertices):
     return f"{head} {tail} Z"
 
 
-def render_svg(plan, style=None):
+def render_svg(plan):
     """Deterministic SVG 1.1 document: one filled path per room, the
     boundary outline, and the door as a thick segment. Grid y grows
     downward, matching SVG's native orientation."""
-    style = style or RenderStyle()
     r = plan.resolution
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -53,20 +41,20 @@ def render_svg(plan, style=None):
         f'<rect width="{r}" height="{r}" fill="#FFFFFF"/>',
     ]
     for room in plan.rooms:
-        color = style.colors[room.kind]
+        color = DEFAULT_COLORS[room.kind]
         lines.append(
             f'<path d="{_path_d(room.vertices)}" fill="{color}" '
-            f'stroke="{style.stroke}" stroke-width="{style.stroke_width}">'
+            f'stroke="{STROKE}" stroke-width="{STROKE_WIDTH}">'
             f"<title>{room.kind.name}</title></path>"
         )
     lines.append(
         f'<path d="{_path_d(plan.boundary)}" fill="none" '
-        f'stroke="{style.stroke}" stroke-width="{2 * style.stroke_width}"/>'
+        f'stroke="{STROKE}" stroke-width="{2 * STROKE_WIDTH}"/>'
     )
     (ax, ay), (bx, by) = plan.door.a, plan.door.b
     lines.append(
         f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
-        f'stroke="{style.door_color}" stroke-width="{style.door_width}"/>'
+        f'stroke="{DOOR_COLOR}" stroke-width="{DOOR_WIDTH}"/>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -401,7 +401,7 @@ def _coordinate_weights(row, cfg):
         raise ArgmaxNotCoordinate(f"argmax id {top} is not a coordinate token")
     values = np.arange(cfg.resolution) / cfg.resolution
     center = top / cfg.resolution
-    sigma = cfg.effective_sigma
+    sigma = 1.0 / cfg.resolution  # one grid step
     weights = np.exp(-0.5 * ((values - center) / sigma) ** 2)
     return top, values, weights
 
@@ -750,14 +750,15 @@ def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_param
             f"non-finite gradient at step {state.step + 1}",
             diagnostics={"loss": loss.to_dict(), "grad_norm": gnorm},
         )
-    if train_cfg.grad_clip and gnorm > train_cfg.grad_clip:
-        scale = train_cfg.grad_clip / gnorm
+    grad_clip, warmup_steps, weight_decay, eps = 1.0, 100, 0.01, 1e-8
+    if gnorm > grad_clip:
+        scale = grad_clip / gnorm
         for g in grads.values():
             g *= scale
 
     state.step += 1
-    lr = train_cfg.lr * min(1.0, state.step / max(1, train_cfg.warmup_steps))
-    b1, b2 = train_cfg.beta1, train_cfg.beta2
+    lr = train_cfg.lr * min(1.0, state.step / warmup_steps)
+    b1, b2 = 0.9, 0.999
     bias1 = 1.0 - b1**state.step
     bias2 = 1.0 - b2**state.step
     for name, p in state.params.items():
@@ -768,9 +769,9 @@ def train_step(batch, state, model_cfg, train_cfg, guidance_cfg=None, soft_param
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + train_cfg.eps)
-        if train_cfg.weight_decay and p.ndim >= 2:
-            update = update + train_cfg.weight_decay * p
+        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+        if p.ndim >= 2:
+            update = update + weight_decay * p
         p -= (lr * update).astype(p.dtype)
 
     return state, loss

@@ -37,9 +37,12 @@ class TestSplit:
         assert a == b
 
     def test_bad_fractions_rejected(self):
-        corpus = dataset.synth_generate(5, seed=0)
-        with pytest.raises(ValueError):
-            dataset.split(corpus, (0.5, 0.5, 0.5), seed=0)
+        corpus = dataset.synth_generate(10, seed=0)
+        # the last three were once accepted: two sum to 1, and NaN compares false
+        bad = [(0.5, 0.5, 0.5), (1.2, -0.1, -0.1), (0.5, -0.2, 0.7), (0.5, 0.5, float("nan"))]
+        for fractions in bad:
+            with pytest.raises(ValueError, match="non-negative values summing to 1"):
+                dataset.split(corpus, fractions, seed=0)
 
 
 class TestCorpusIO:

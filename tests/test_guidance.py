@@ -98,10 +98,7 @@ def softened_rows(rng, n):
 class TestCollapse:
     """All rows at once against the earlier per-row code in `oracles`."""
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [CFG, GuidanceConfig(resolution=256, sigma=4 / 256), GuidanceConfig(sigma=0.05)],
-    )
+    @pytest.mark.parametrize("cfg", [CFG])
     def test_bit_identical_to_per_row(self, rng, cfg):
         rows = softened_rows(rng, 60)
         v_bar, grad = guidance.collapse(rows, cfg)

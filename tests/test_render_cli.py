@@ -15,6 +15,7 @@ from ergoplan.ergocost import TERMS
 from ergoplan.plan import RoomType, deserialize_plan, serialize_plan
 
 V = tokenizer.Vocabulary(256)
+TRAIN = ["train", "--corpus", "{corpus}", "--out", "{out}"]
 
 
 class TestRenderSvg:
@@ -46,6 +47,27 @@ class TestRenderSvg:
 
     def test_all_13_types_have_colors(self):
         assert set(render.DEFAULT_COLORS) == set(RoomType)
+
+    def test_exact_bytes(self):
+        plan = make_plan(
+            rect(0, 0, 32, 16),
+            ((0, 4), (0, 8)),
+            [(RoomType.Entrance, rect(0, 0, 16, 16)), (RoomType.Kitchen, rect(16, 0, 32, 16))],
+            resolution=64,
+        )
+        assert render.render_svg(plan) == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 64 64">\n'
+            '<rect width="64" height="64" fill="#FFFFFF"/>\n'
+            '<path d="M 0,0 L 16,0 L 16,16 L 0,16 Z" fill="#E1ECF7" stroke="#333333" '
+            'stroke-width="1.0"><title>Entrance</title></path>\n'
+            '<path d="M 16,0 L 32,0 L 32,16 L 16,16 Z" fill="#B8D8BA" stroke="#333333" '
+            'stroke-width="1.0"><title>Kitchen</title></path>\n'
+            '<path d="M 0,0 L 32,0 L 32,16 L 0,16 Z" fill="none" stroke="#333333" '
+            'stroke-width="2.0"/>\n'
+            '<line x1="0" y1="4" x2="0" y2="8" stroke="#CC3333" stroke-width="3.0"/>\n'
+            "</svg>\n"
+        )
 
 
 @pytest.fixture
@@ -112,6 +134,17 @@ class TestCli:
                 "embed_dim must be divisible by heads",
             ),
             (["--threads", "0", "eval", "--corpus", "{corpus}"], "threads must be at least 1, got 0"),
+            ([*TRAIN, "--heads", "0"], "heads must be positive"),
+            ([*TRAIN, "--layers", "0"], "layers must be positive"),
+            ([*TRAIN, "--embed-dim", "0"], "embed_dim must be positive"),
+            ([*TRAIN, "--context", "0"], "context_len must be positive"),
+            ([*TRAIN, "--batch-size", "0"], "batch_size must be positive"),
+            ([*TRAIN, "--steps", "-3"], "steps must be non-negative"),
+            ([*TRAIN, "--lr", "-1"], "lr must be positive"),
+            (
+                ["split", "--in", "{corpus}", "--fractions", "1.2,-0.1,-0.1"],
+                "fractions must be three non-negative values summing to 1",
+            ),
         ],
     )
     def test_rejected_config_value_is_a_usage_error(
