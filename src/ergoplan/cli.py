@@ -3,9 +3,8 @@
 One executable, subcommand style. Exit codes: 0 success, 1 usage error
 (an option value its config rejects counts as one), 2 data error.
 Machine-readable output goes to stdout (JSON with --format json),
-diagnostics to stderr. ERGOPLAN_SEED provides the default seed; a
-key=value config file can pre-set train options, with explicit flags
-winning.
+diagnostics to stderr. ERGOPLAN_SEED provides the default seed; each
+train option defaults to its config field's default.
 """
 
 import argparse
@@ -45,36 +44,14 @@ def _env_seed(parser):
         parser.error(f"ERGOPLAN_SEED must be an integer, got {raw!r}")
 
 
-def read_config_file(path):
-    """TOML-like key=value lines; '#' starts a comment."""
-    values = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ErgoplanError(f"malformed config line: {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
-
-
 def _load_plan(path):
     return deserialize_plan(Path(path).read_text())
-
-
-def _print(obj, fmt, table_fn=None):
-    if fmt == "json":
-        print(json.dumps(obj, indent=2) if not isinstance(obj, str) else obj)
-    else:
-        print(table_fn() if table_fn else json.dumps(obj, indent=2))
 
 
 def build_parser():
     parser = _Parser(prog="ergoplan", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="global RNG seed (default: ERGOPLAN_SEED or 0)")
     parser.add_argument("--format", choices=("json", "table"), default="table")
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic plan corpus")
@@ -123,16 +100,18 @@ def build_parser():
     p = sub.add_parser("train", help="train a model on a plan corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value config file; flags win")
-    p.add_argument("--guided", choices=("on", "off"), default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None, help="loss-mixing scale in meters")
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--embed-dim", type=int, default=None)
-    p.add_argument("--context", type=int, default=None)
+    model_defaults, train_defaults = model.ModelConfig, model.TrainConfig
+    p.add_argument("--guided", choices=("on", "off"), default="on" if train_defaults.guided else "off")
+    p.add_argument("--steps", type=int, default=train_defaults.steps)
+    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
+    p.add_argument("--lr", type=float, default=train_defaults.lr)
+    p.add_argument(
+        "--gamma", type=float, default=guidance.GuidanceConfig.gamma, help="loss-mixing scale in meters"
+    )
+    p.add_argument("--layers", type=int, default=model_defaults.layers)
+    p.add_argument("--heads", type=int, default=model_defaults.heads)
+    p.add_argument("--embed-dim", type=int, default=model_defaults.embed_dim)
+    p.add_argument("--context", type=int, default=model_defaults.context_len)
     p.add_argument("--log-every", type=int, default=100)
 
     p = sub.add_parser("generate", help="greedy-decode plans from a checkpoint")
@@ -207,7 +186,7 @@ def _cmd_split(args):
         json.dumps(assigned.split, indent=2, sort_keys=True)
     )
     counts = {name: sum(1 for v in assigned.split.values() if v == name) for name in dataset.SPLITS}
-    _print(counts, args.format)
+    print(json.dumps(counts, indent=2))
     return EXIT_OK
 
 
@@ -330,54 +309,27 @@ def _train_samples(plans, context_len):
     return [(tokenizer.encode(plan, max_len=context_len), plan) for plan in plans]
 
 
-def _on_off(value):
-    if value not in ("on", "off"):
-        raise ValueError(value)
-    return value
-
-
 def _cmd_train(args):
-    file_cfg = read_config_file(args.config) if args.config else {}
-
-    def opt(flag, key, cast, default):
-        # a file value is consumed and checked even when a flag overrides it
-        value = default
-        if key in file_cfg:
-            raw = file_cfg.pop(key)
-            try:
-                value = cast(raw)
-            except ValueError:
-                raise ErgoplanError(f"config key {key}: bad value {raw!r}") from None
-        return value if flag is None else flag
-
     plans = _corpus_plans(args.corpus, default="train")
     if not plans:
         raise ErgoplanError(f"no training plans under {args.corpus}")
     resolution = plans[0].resolution
-    # an option neither flagged nor in the file takes its config field's default
-    model_defaults, train_defaults = model.ModelConfig, model.TrainConfig
     model_cfg = model.ModelConfig(
-        layers=opt(args.layers, "layers", int, model_defaults.layers),
-        heads=opt(args.heads, "heads", int, model_defaults.heads),
-        embed_dim=opt(args.embed_dim, "embed_dim", int, model_defaults.embed_dim),
-        context_len=opt(args.context, "context", int, model_defaults.context_len),
+        layers=args.layers,
+        heads=args.heads,
+        embed_dim=args.embed_dim,
+        context_len=args.context,
         vocab_size=tokenizer.Vocabulary(resolution).size,
         seed=args.seed,
     )
-    guided_default = "on" if train_defaults.guided else "off"
     train_cfg = model.TrainConfig(
-        steps=opt(args.steps, "steps", int, train_defaults.steps),
-        batch_size=opt(args.batch_size, "batch_size", int, train_defaults.batch_size),
-        lr=opt(args.lr, "lr", float, train_defaults.lr),
-        guided=opt(args.guided, "guided", _on_off, guided_default) == "on",
+        steps=args.steps,
+        batch_size=args.batch_size,
+        lr=args.lr,
+        guided=args.guided == "on",
         seed=args.seed,
     )
-    guidance_cfg = guidance.GuidanceConfig(
-        resolution=resolution,
-        gamma=opt(args.gamma, "gamma", float, guidance.GuidanceConfig.gamma),
-    )
-    if file_cfg:
-        raise ErgoplanError(f"unknown config keys in {args.config}: {', '.join(sorted(file_cfg))}")
+    guidance_cfg = guidance.GuidanceConfig(resolution=resolution, gamma=args.gamma)
     samples = _train_samples(plans, model_cfg.context_len)
     echo = {
         "model": vars(model_cfg),
@@ -400,6 +352,8 @@ def _cmd_train(args):
 
 
 def _cmd_generate(args):
+    if args.n is not None and args.n < 1:
+        raise ValueError("n must be at least 1")
     state, model_cfg, _ = model.load_checkpoint(args.checkpoint)
     net = model.Model(model_cfg, state.params)
     vocab = net.vocab
@@ -454,7 +408,7 @@ def _cmd_eval(args):
         overlap_tolerance=args.overlap_tolerance,
     )
     start = time.perf_counter()
-    report = metrics.evaluate(sequences, cfg, threads=args.threads)
+    report = metrics.evaluate(sequences, cfg)
     elapsed = time.perf_counter() - start
     if args.out:
         Path(args.out).write_text(report.to_json())

@@ -366,6 +366,8 @@ def synth_plan(seed, cfg=None):
 
 def synth_generate(n, seed=0, cfg=None):
     """Corpus of n synthetic plans; fixed seed gives an identical corpus."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     cfg = cfg or SynthConfig()
     plans = [synth_plan(np.random.SeedSequence([seed, i]), cfg) for i in range(n)]
     ids = [f"synth-{seed}-{i:05d}" for i in range(n)]

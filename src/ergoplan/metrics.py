@@ -27,6 +27,13 @@ class EvalConfig:
     coverage_tolerance: float = 0.02  # allowed uncovered interior fraction
     overlap_tolerance: float = 0.0  # allowed overlap, fraction of boundary area
 
+    def __post_init__(self):
+        if not self.resolution > 0:
+            raise ValueError("resolution must be positive")
+        for name in ("coverage_tolerance", "overlap_tolerance"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative")
+
 
 @dataclass(frozen=True)
 class EvalReport:

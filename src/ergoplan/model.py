@@ -725,13 +725,9 @@ class Model:
     def forward(self, seq):
         """Next-token probability rows for one TokenSequence: row t is the
         distribution over the token following position t; rows sum to 1."""
-        logits = forward_logits(
-            self.params,
-            self.cfg,
-            np.array(seq.tokens),
-            np.array(seq.xy_index),
-            np.array(seq.vertex_index),
-        )
+        # a vertex index past the table takes its last row, as in training and decoding
+        arrays = _pad_batch([(seq, None)], self.vocab, self.cfg.max_vertex_index)
+        logits = forward_logits(self.params, self.cfg, *arrays)
         return _softmax(logits.astype(np.float64))[0]
 
     def prob_rows(self, seq):

@@ -290,6 +290,7 @@ def _run_arm(tmp_path, corpus_dir, holdout_dir, guided):
     return metrics.EvalReport.from_dict(json.loads(report_file.read_text()))
 
 
+@pytest.mark.slow
 def test_criterion_08_guided_beats_baseline(tmp_path):
     """Toy model trained twice from one seed; guided must beat the baseline
     on mean ergonomic cost without losing more than 0.05 parsability."""

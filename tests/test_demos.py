@@ -40,6 +40,7 @@ def test_render_gallery_runs(tmp_path, capsys):
     assert "wrote 12 files" in capsys.readouterr().out
 
 
+@pytest.mark.slow
 def test_train_toy_model_runs(capsys):
     runpy.run_path(str(DEMOS / "06_train_toy_model.py"), run_name="__main__")
     out = capsys.readouterr().out

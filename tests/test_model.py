@@ -84,6 +84,20 @@ class TestForward:
             with pytest.raises(OutOfRange):
                 model.forward_logits(params, SMALL, ok, xy, vert)
 
+    def test_vertex_index_past_the_table_is_clamped(self):
+        # a 36-vertex staircase room: its vertex indices run to 35
+        steps, w = 17, 4
+        room = [(0, 0), (steps * w, 0)]
+        for i in range(steps):
+            room += [((steps - i) * w, (i + 1) * w), ((steps - i - 1) * w, (i + 1) * w)]
+        plan = make_plan(rect(0, 0, 68, 68), ((0, 4), (0, 8)), [(RoomType.LivingRoom, room)])
+        seq = tokenizer.encode(plan, V)
+        assert max(seq.vertex_index) > SMALL.max_vertex_index
+        net = Model(SMALL)
+        vert = np.minimum(seq.vertex_index, SMALL.max_vertex_index)
+        logits = model.forward_logits(net.params, SMALL, seq.tokens, seq.xy_index, vert)
+        assert np.array_equal(net.forward(seq), model._softmax(logits.astype(np.float64))[0])
+
     def test_zeroed_index_tables_ignore_index_streams(self):
         net = Model(SMALL)
         net.params["xy_emb"][:] = 0.0

@@ -12,6 +12,7 @@ from conftest import make_plan, rect
 from ergoplan import dataset, guidance, model, render, tokenizer
 from ergoplan.cli import main
 from ergoplan.ergocost import TERMS
+from ergoplan.errors import ErgoplanError
 from ergoplan.plan import RoomType, deserialize_plan, serialize_plan
 
 V = tokenizer.Vocabulary(256)
@@ -133,7 +134,7 @@ class TestCli:
                 ["train", "--corpus", "{corpus}", "--out", "{out}", "--heads", "3", "--embed-dim", "8"],
                 "embed_dim must be divisible by heads",
             ),
-            (["--threads", "0", "eval", "--corpus", "{corpus}"], "threads must be at least 1, got 0"),
+            (["generate", "--checkpoint", "{out}", "--from-scratch", "--n", "0"], "n must be at least 1"),
             ([*TRAIN, "--heads", "0"], "heads must be positive"),
             ([*TRAIN, "--layers", "0"], "layers must be positive"),
             ([*TRAIN, "--embed-dim", "0"], "embed_dim must be positive"),
@@ -145,13 +146,34 @@ class TestCli:
                 ["split", "--in", "{corpus}", "--fractions", "1.2,-0.1,-0.1"],
                 "fractions must be three non-negative values summing to 1",
             ),
+            (
+                ["generate", "--checkpoint", "{out}", "--prefixes", "{corpus}", "--n", "-2"],
+                "n must be at least 1",
+            ),
+            (["synth", "--n", "-4", "--out", "{out}"], "n must be non-negative"),
+            (
+                ["eval", "--corpus", "{corpus}", "--coverage-tolerance", "-1"],
+                "coverage_tolerance must be non-negative",
+            ),
+            (
+                ["eval", "--corpus", "{corpus}", "--coverage-tolerance", "nan"],
+                "coverage_tolerance must be non-negative",
+            ),
+            (
+                ["eval", "--corpus", "{corpus}", "--overlap-tolerance", "-0.5"],
+                "overlap_tolerance must be non-negative",
+            ),
+            (["eval", "{tokens}", "--resolution", "0"], "resolution must be positive"),
         ],
     )
     def test_rejected_config_value_is_a_usage_error(
         self, argv, named, plan_file, corpus_dir, tmp_path, capsys
     ):
         out = tmp_path / "m.npz"
-        paths = {"plan": plan_file, "corpus": corpus_dir, "out": out}
+        tokens = tmp_path / "tokens.txt"
+        plan = deserialize_plan(plan_file.read_text())
+        tokens.write_text(tokenizer.format_token_line(tokenizer.encode(plan, V)) + "\n")
+        paths = {"plan": plan_file, "corpus": corpus_dir, "out": out, "tokens": tokens}
         assert main([arg.format(**paths) for arg in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -314,34 +336,21 @@ class TestTrainGenerateCli:
         report = json.loads(capsys.readouterr().out)
         assert report["counts"]["sequences"] == 4
 
-    def test_config_file_defaults_with_flag_override(self, tmp_path, capsys):
-        corpus = tmp_path / "c"
-        main(["--seed", "2", "synth", "--n", "4", "--out", str(corpus)])
-        cfg_file = tmp_path / "train.cfg"
-        cfg_file.write_text("steps = 5\nlayers = 1\nheads = 1\nembed_dim = 8\nguided = off\n# comment\n")
-        ckpt = tmp_path / "m.npz"
-        assert main(
-            ["train", "--corpus", str(corpus), "--out", str(ckpt), "--config", str(cfg_file), "--steps", "3", "--log-every", "0"]
-        ) == 0
-        from ergoplan import model as model_mod
+    def test_train_flags_default_to_the_config_fields(self, corpus_dir, tmp_path, monkeypatch):
+        built = []
 
-        state, cfg, tcfg = model_mod.load_checkpoint(ckpt)
-        assert state.step == 3  # flag wins over config file
-        assert cfg.layers == 1 and cfg.embed_dim == 8
-        assert tcfg["guided"] is False
+        def record(samples, model_cfg, train_cfg, guidance_cfg, log_every):
+            built.extend([model_cfg, train_cfg, guidance_cfg])
+            raise ErgoplanError("recorded")
 
-    def test_config_file_rejects_unknown_keys_and_guided_values(self, tmp_path, capsys):
-        corpus = tmp_path / "c"
-        assert main(["--seed", "2", "synth", "--n", "4", "--out", str(corpus)]) == 0
-        cfg_file = tmp_path / "train.cfg"
-        argv = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.npz")]
-        cases = {"guided = true\n": "'true'", "lr = fast\n": "'fast'", "batch-size = 2\n": "batch-size"}
-        for text, named in cases.items():
-            cfg_file.write_text(text)
-            capsys.readouterr()
-            assert main([*argv, "--config", str(cfg_file), "--steps", "1", "--log-every", "0"]) == 2
-            assert named in capsys.readouterr().err
-        assert not (tmp_path / "m.npz").exists()
+        monkeypatch.setattr(model, "train", record)
+        argv = [arg.format(corpus=corpus_dir, out=tmp_path / "m.npz") for arg in TRAIN]
+        assert main(["--seed", "0", *argv]) == 2
+        assert built == [
+            model.ModelConfig(vocab_size=V.size),
+            model.TrainConfig(),
+            guidance.GuidanceConfig(resolution=256),
+        ]
 
     def test_plan_longer_than_the_context_fails_before_the_first_step(self, tmp_path, capsys):
         corpus = tmp_path / "c"
